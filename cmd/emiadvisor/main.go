@@ -25,6 +25,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -149,7 +150,7 @@ func repl(d *layout.Design, in io.Reader, out io.Writer) error {
 			}
 			fmt.Fprintf(out, "placed %d components in %v\n", res.Placed, res.Elapsed)
 		case "legalize":
-			moved, err := place.Legalize(d, place.Options{})
+			moved, err := place.LegalizeCtx(context.Background(), d, place.Options{})
 			if err != nil {
 				fmt.Fprintln(out, "error:", err)
 				break

@@ -58,7 +58,7 @@ func main() {
 			c.SetCoupling("Lc1", "Lc2", k)
 		}
 		s, err := (&emi.Predictor{
-			Circuit: c, SourceName: "Vsw", MeasureNode: meas, MaxFreq: 108e6,
+			Circuit: c, Sources: []string{"Vsw"}, MeasureNode: meas, MaxFreq: 108e6,
 		}).Spectrum()
 		if err != nil {
 			log.Fatal(err)

@@ -234,6 +234,13 @@ func newStubReplica(t *testing.T, name string) *stubReplica {
 			fmt.Fprintln(w, `{"error":"no such session"}`)
 		}
 	})
+	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		id := r.Header.Get(ClusterSessionHeader)
+		sr.putSession(id, "live")
+		w.WriteHeader(http.StatusCreated)
+		json.NewEncoder(w).Encode(map[string]string{"id": id})
+	})
 	mux.HandleFunc("POST /v1/sessions/{id}/edits", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
 		id := r.PathValue("id")

@@ -1,21 +1,18 @@
 package cluster
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"strconv"
-	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // The cluster event timeline: one bounded, ordered stream of the state
 // changes an operator asks "what just happened?" about — member health
 // transitions, drains, the phases of every session takeover, and
-// admission rejections. The ring + SSE-replay shape is the same one
-// job progress streaming uses (internal/serve's progressLog): a client
-// reconnecting with Last-Event-ID (or ?after=N) replays what the ring
-// still holds and then follows live.
+// admission rejections. It is an obs.Log streamed by obs.SSE, like job
+// progress and session deltas: a client reconnecting with its last id
+// replays what the ring still holds and then follows live.
 
 const (
 	// eventRingCap bounds the replay ring. Cluster events are rare
@@ -39,150 +36,34 @@ type Event struct {
 	Detail  string    `json:"detail,omitempty"`  // human-readable specifics
 }
 
-// eventLog is a bounded ring of cluster events with subscription
-// fan-out. Safe for concurrent use.
-type eventLog struct {
-	mu     sync.Mutex
-	events []Event
-	seq    uint64
-	subs   map[chan Event]bool
-	closed bool
-}
-
-func newEventLog() *eventLog {
-	return &eventLog{subs: make(map[chan Event]bool)}
-}
-
-// publish stamps and appends an event, fanning it out to subscribers.
-// A subscriber whose channel is full is dropped — the timeline is
-// advisory and must never block routing.
-func (l *eventLog) publish(ev Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.seq++
-	ev.Seq = l.seq
+// stampEvent writes the timeline number and time into an event. The log
+// calls it under its lock, so events published from many goroutines are
+// ordered by both.
+func stampEvent(ev *Event, seq uint64) {
+	ev.Seq = seq
 	ev.At = time.Now()
-	l.events = append(l.events, ev)
-	if n := len(l.events) - eventRingCap; n > 0 {
-		l.events = append(l.events[:0:0], l.events[n:]...)
-	}
-	for ch := range l.subs {
-		select {
-		case ch <- ev:
-		default:
-			delete(l.subs, ch)
-			close(ch)
-		}
-	}
-}
-
-// subscribe returns a channel replaying the retained events with
-// Seq > after, then live events until cancel, close, or falling behind.
-func (l *eventLog) subscribe(after uint64) (<-chan Event, func()) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var replay []Event
-	for _, ev := range l.events {
-		if ev.Seq > after {
-			replay = append(replay, ev)
-		}
-	}
-	ch := make(chan Event, len(replay)+eventChanSlack)
-	for _, ev := range replay {
-		ch <- ev
-	}
-	if l.closed {
-		close(ch)
-		return ch, func() {}
-	}
-	l.subs[ch] = true
-	cancel := func() {
-		l.mu.Lock()
-		if l.subs[ch] {
-			delete(l.subs, ch)
-			close(ch)
-		}
-		l.mu.Unlock()
-	}
-	return ch, cancel
-}
-
-// snapshot returns the retained events with Seq > after.
-func (l *eventLog) snapshot(after uint64) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	for _, ev := range l.events {
-		if ev.Seq > after {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// close ends every live subscription (router shutdown). The ring is
-// retained for any in-flight snapshot reads.
-func (l *eventLog) close() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	l.closed = true
-	for ch := range l.subs {
-		delete(l.subs, ch)
-		close(ch)
-	}
 }
 
 // Events returns the retained timeline events with Seq > after —
 // the programmatic view of GET /cluster/events (status pages, tests).
 func (rt *Router) Events(after uint64) []Event {
-	return rt.events.snapshot(after)
+	return rt.events.Since(after)
 }
 
 // eventsHandler streams the cluster timeline as server-sent events.
 // Each event's type is the SSE event name and its sequence number the
-// SSE id, so EventSource reconnection (Last-Event-ID) resumes where
-// the stream broke; ?after=N does the same for plain clients.
+// SSE id, so an EventSource reconnection resumes where the stream broke;
+// ?after=N does the same for plain clients.
 func (rt *Router) eventsHandler(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
+	sse, after, ok := obs.NewSSE(w, r)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	var after uint64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		after, _ = strconv.ParseUint(v, 10, 64)
-	} else if v := r.URL.Query().Get("after"); v != "" {
-		after, _ = strconv.ParseUint(v, 10, 64)
-	}
-	ch, cancel := rt.events.subscribe(after)
+	ch, cancel := rt.events.Subscribe(after)
 	defer cancel()
-
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				return // router closing, or this client fell behind
-			}
-			data, err := json.Marshal(ev)
-			if err != nil {
-				continue
-			}
-			fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", ev.Type, ev.Seq, data)
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
+	sse.Start()
+	// The channel closes when the router closes or this client falls
+	// behind.
+	obs.Follow(r.Context(), ch, func(ev Event) { sse.Event(ev.Type, ev.Seq, ev) })
 }

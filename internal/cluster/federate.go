@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Metrics federation: the router's GET /metrics re-exports every
@@ -28,7 +30,7 @@ const (
 
 // promFamily is one metric family reassembled across members.
 type promFamily struct {
-	header  []string // "# HELP ..." / "# TYPE ..." lines
+	header  []string // the HELP and TYPE comment lines
 	samples []string // relabeled sample lines, in member order
 }
 
@@ -76,15 +78,17 @@ func (rt *Router) federate(ctx context.Context, w io.Writer) {
 	wg.Wait()
 
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# HELP emiserve_cluster_scrape_ok Whether the federation scrape of each member succeeded.")
-	fmt.Fprintln(bw, "# TYPE emiserve_cluster_scrape_ok gauge")
-	for _, sc := range results {
-		v := 0
-		if sc.ok {
-			v = 1
+	var scrapes obs.Registry
+	obs.GaugeVec(&scrapes, "emiserve_cluster_scrape_ok", "Whether the federation scrape of each member succeeded.", "replica", func(emit func(string, int)) {
+		for _, sc := range results {
+			v := 0
+			if sc.ok {
+				v = 1
+			}
+			emit(sc.name, v)
 		}
-		fmt.Fprintf(bw, "emiserve_cluster_scrape_ok{replica=%q} %d\n", sc.name, v)
-	}
+	})
+	_ = scrapes.WriteProm(bw)
 
 	var order []string
 	families := map[string]*promFamily{}

@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // metrics are the router's monotonic counters, exported on /metrics in
@@ -26,81 +27,62 @@ type metrics struct {
 // WriteMetrics writes the router metrics plus the per-state member
 // gauge derived from the prober snapshot.
 func (rt *Router) WriteMetrics(w io.Writer) error {
-	snap := rt.prober.Snapshot()
-	counts := map[MemberState]int{}
-	var depth, capSum int
-	for _, h := range snap {
-		counts[h.State]++
+	return rt.reg.WriteProm(w)
+}
+
+// readyQueues sums queue depth and capacity over the ready members.
+func (rt *Router) readyQueues() (depth, capSum int) {
+	for _, h := range rt.prober.Snapshot() {
 		if h.State == StateReady {
 			depth += h.QueueDepth
 			capSum += h.QueueCap
 		}
 	}
-	bw := &errWriter{w: w}
-	bw.printf("# HELP emiserve_cluster_members Members by probed state.\n")
-	bw.printf("# TYPE emiserve_cluster_members gauge\n")
-	for _, st := range []MemberState{StateReady, StateNotReady, StateDown} {
-		bw.printf("emiserve_cluster_members{state=%q} %d\n", st.String(), counts[st])
-	}
-	bw.printf("# HELP emiserve_cluster_queue_depth Summed queue depth of ready members.\n")
-	bw.printf("# TYPE emiserve_cluster_queue_depth gauge\n")
-	bw.printf("emiserve_cluster_queue_depth %d\n", depth)
-	bw.printf("# HELP emiserve_cluster_queue_cap Summed queue capacity of ready members.\n")
-	bw.printf("# TYPE emiserve_cluster_queue_cap gauge\n")
-	bw.printf("emiserve_cluster_queue_cap %d\n", capSum)
-
-	counters := []struct {
-		name, help string
-		v          *atomic.Int64
-	}{
-		{"emiserve_cluster_forwards_total", "Requests proxied to a replica.", &rt.m.forwards},
-		{"emiserve_cluster_retries_total", "Forward attempts beyond the first.", &rt.m.retries},
-		{"emiserve_cluster_shed_total", "Requests shed with 429 (all targets saturated).", &rt.m.shed},
-		{"emiserve_cluster_unavailable_total", "Requests answered 503 (no ready owner).", &rt.m.unavailable},
-		{"emiserve_cluster_bad_gateway_total", "Forwards answered 502 (transport died mid-request).", &rt.m.badGateway},
-		{"emiserve_cluster_takeovers_total", "Session takeover handshakes completed.", &rt.m.takeovers},
-		{"emiserve_cluster_sessions_total", "Sessions created through the router.", &rt.m.sessions},
-	}
-	for _, c := range counters {
-		bw.printf("# HELP %s %s\n", c.name, c.help)
-		bw.printf("# TYPE %s counter\n", c.name)
-		bw.printf("%s %d\n", c.name, c.v.Load())
-	}
-
-	bw.printf("# HELP emiserve_cluster_probe_rtt_seconds Last successful readyz probe round-trip per member.\n")
-	bw.printf("# TYPE emiserve_cluster_probe_rtt_seconds gauge\n")
-	for _, name := range rt.ring.Members() {
-		bw.printf("emiserve_cluster_probe_rtt_seconds{member=%q} %g\n",
-			name, snap[name].RTT.Seconds())
-	}
-	bw.printf("# HELP emiserve_cluster_takeover_outcomes_total Session takeover handshakes by result.\n")
-	bw.printf("# TYPE emiserve_cluster_takeover_outcomes_total counter\n")
-	bw.printf("emiserve_cluster_takeover_outcomes_total{result=%q} %d\n", "adopted", rt.m.takeovers.Load())
-	bw.printf("emiserve_cluster_takeover_outcomes_total{result=%q} %d\n", "failed", rt.m.takeoverFail.Load())
-	bw.printf("# HELP emiserve_cluster_admission_rejected_total Submissions the router rejected, by reason.\n")
-	bw.printf("# TYPE emiserve_cluster_admission_rejected_total counter\n")
-	bw.printf("emiserve_cluster_admission_rejected_total{reason=%q} %d\n", "saturated", rt.m.admSaturated.Load())
-	bw.printf("emiserve_cluster_admission_rejected_total{reason=%q} %d\n", "no_ready", rt.m.admNoReady.Load())
-
-	if bw.err == nil {
-		bw.err = rt.fwd.WriteProm(w)
-	}
-	if bw.err == nil {
-		bw.err = rt.tkPhase.WriteProm(w)
-	}
-	return bw.err
+	return depth, capSum
 }
 
-// errWriter folds the first write error, so WriteMetrics stays a flat
-// list of printf calls.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (ew *errWriter) printf(format string, args ...any) {
-	if ew.err != nil {
-		return
-	}
-	_, ew.err = fmt.Fprintf(ew.w, format, args...)
+// newRegistry declares the router's own families.
+func (rt *Router) newRegistry() *obs.Registry {
+	r := &obs.Registry{}
+	obs.GaugeVec(r, "emiserve_cluster_members", "Members by probed state.", "state", func(emit func(string, int)) {
+		counts := map[MemberState]int{}
+		for _, h := range rt.prober.Snapshot() {
+			counts[h.State]++
+		}
+		for _, st := range []MemberState{StateReady, StateNotReady, StateDown} {
+			emit(st.String(), counts[st])
+		}
+	})
+	obs.Gauge(r, "emiserve_cluster_queue_depth", "Summed queue depth of ready members.", func() int {
+		depth, _ := rt.readyQueues()
+		return depth
+	})
+	obs.Gauge(r, "emiserve_cluster_queue_cap", "Summed queue capacity of ready members.", func() int {
+		_, capSum := rt.readyQueues()
+		return capSum
+	})
+	obs.Counter(r, "emiserve_cluster_forwards_total", "Requests proxied to a replica.", rt.m.forwards.Load)
+	obs.Counter(r, "emiserve_cluster_retries_total", "Forward attempts beyond the first.", rt.m.retries.Load)
+	obs.Counter(r, "emiserve_cluster_shed_total", "Requests shed with 429 (all targets saturated).", rt.m.shed.Load)
+	obs.Counter(r, "emiserve_cluster_unavailable_total", "Requests answered 503 (no ready owner).", rt.m.unavailable.Load)
+	obs.Counter(r, "emiserve_cluster_bad_gateway_total", "Forwards answered 502 (transport died mid-request).", rt.m.badGateway.Load)
+	obs.Counter(r, "emiserve_cluster_takeovers_total", "Session takeover handshakes completed.", rt.m.takeovers.Load)
+	obs.Counter(r, "emiserve_cluster_sessions_total", "Sessions created through the router.", rt.m.sessions.Load)
+	obs.GaugeVec(r, "emiserve_cluster_probe_rtt_seconds", "Last successful readyz probe round-trip per member.", "member", func(emit func(string, float64)) {
+		snap := rt.prober.Snapshot()
+		for _, name := range rt.ring.Members() {
+			emit(name, snap[name].RTT.Seconds())
+		}
+	})
+	obs.CounterVec(r, "emiserve_cluster_takeover_outcomes_total", "Session takeover handshakes by result.", "result", func(emit func(string, int64)) {
+		emit("adopted", rt.m.takeovers.Load())
+		emit("failed", rt.m.takeoverFail.Load())
+	})
+	obs.CounterVec(r, "emiserve_cluster_admission_rejected_total", "Submissions the router rejected, by reason.", "reason", func(emit func(string, int64)) {
+		emit("saturated", rt.m.admSaturated.Load())
+		emit("no_ready", rt.m.admNoReady.Load())
+	})
+	r.Histograms(rt.fwd)
+	r.Histograms(rt.tkPhase)
+	return r
 }

@@ -301,8 +301,8 @@ func TestEventsSSEReplay(t *testing.T) {
 	rt := testRouter(t, a)
 	base := routerServer(t, rt)
 
-	rt.events.publish(Event{Type: "member.drain", Member: "r0"})
-	rt.events.publish(Event{Type: "admission.reject", Detail: "test"})
+	rt.events.Publish(Event{Type: "member.drain", Member: "r0"})
+	rt.events.Publish(Event{Type: "admission.reject", Detail: "test"})
 	evs := rt.Events(0)
 	if len(evs) < 2 {
 		t.Fatalf("timeline holds %d events, want >= 2", len(evs))

@@ -76,11 +76,12 @@ type Router struct {
 	jobTrace  map[string]*obs.Trace // request traces by acknowledged job ID
 	traceFIFO []string
 
-	events  *eventLog
+	events  *obs.Log[Event]
 	fwd     *obs.HistogramVec // forward latency by route and outcome
-	tkPhase *obs.HistogramSet // takeover phase durations, from adopter responses
+	tkPhase *obs.HistogramVec // takeover phase durations, from adopter responses
 
-	m metrics
+	m   metrics
+	reg *obs.Registry // the router's own /metrics families
 }
 
 // New builds a router; Start launches its prober.
@@ -122,14 +123,15 @@ func New(cfg Config) (*Router, error) {
 		sessOwner: map[string]sessRoute{},
 		sessLocks: map[string]*sync.Mutex{},
 		jobTrace:  map[string]*obs.Trace{},
-		events:    newEventLog(),
+		events:    obs.NewLog(eventRingCap, eventChanSlack, stampEvent),
 		fwd: obs.NewHistogramVec("emiserve_cluster_forward_seconds",
 			"Forward latency by route and outcome.",
 			[]string{"route", "outcome"}, obs.LatencySeconds),
-		tkPhase: obs.NewHistogramSet("emiserve_cluster_takeover_phase_seconds",
+		tkPhase: obs.NewHistogramVec("emiserve_cluster_takeover_phase_seconds",
 			"Session takeover phase durations, as reported by the adopter.",
-			"phase", obs.LatencySeconds),
+			[]string{"phase"}, obs.LatencySeconds),
 	}
+	rt.reg = rt.newRegistry()
 	// Health transitions feed the cluster event timeline — probe rounds
 	// and forward-failure feedback alike.
 	rt.prober.SetObserver(rt.onHealthChange)
@@ -145,10 +147,10 @@ func (rt *Router) onHealthChange(prev, cur MemberHealth) {
 		if cur.State != StateReady && cur.Err != "" {
 			detail += ": " + cur.Err
 		}
-		rt.events.publish(Event{Type: "member.state", Member: cur.Name, Detail: detail})
+		rt.events.Publish(Event{Type: "member.state", Member: cur.Name, Detail: detail})
 	}
 	if cur.Status == "draining" && prev.Status != "draining" {
-		rt.events.publish(Event{Type: "member.drain", Member: cur.Name,
+		rt.events.Publish(Event{Type: "member.drain", Member: cur.Name,
 			Detail: "replica reports draining"})
 	}
 }
@@ -160,7 +162,7 @@ func (rt *Router) Start() { rt.prober.ProbeNow(); rt.prober.Start() }
 // Close stops the prober and ends live event subscriptions.
 func (rt *Router) Close() {
 	rt.prober.Stop()
-	rt.events.close()
+	rt.events.Close()
 }
 
 // Prober exposes the health view (tests, status pages).
@@ -423,7 +425,7 @@ func (rt *Router) submitHandler(w http.ResponseWriter, r *http.Request) {
 		rsp.Str("verdict", "saturated").End()
 		rt.m.shed.Add(1)
 		rt.m.admSaturated.Add(1)
-		rt.events.publish(Event{Type: "admission.reject",
+		rt.events.Publish(Event{Type: "admission.reject",
 			Detail: r.URL.Path + ": all replicas saturated"})
 		writeError(w, http.StatusTooManyRequests, "cluster: all replicas saturated")
 		return
@@ -431,7 +433,7 @@ func (rt *Router) submitHandler(w http.ResponseWriter, r *http.Request) {
 	rsp.Str("verdict", "no_ready").End()
 	rt.m.unavailable.Add(1)
 	rt.m.admNoReady.Add(1)
-	rt.events.publish(Event{Type: "admission.reject",
+	rt.events.Publish(Event{Type: "admission.reject",
 		Detail: r.URL.Path + ": no ready replicas"})
 	writeError(w, http.StatusServiceUnavailable, "cluster: no ready replicas")
 }
@@ -785,8 +787,8 @@ type takeoverPhase struct {
 // adoption appears inside the request trace that triggered it.
 func (rt *Router) recordTakeoverPhases(tr *obs.Trace, t0 time.Time, member, id string, phases []takeoverPhase) {
 	for _, ph := range phases {
-		rt.tkPhase.Observe(ph.Phase, ph.DurMS/1e3)
-		rt.events.publish(Event{Type: "takeover." + ph.Phase, Member: member, Session: id,
+		rt.tkPhase.Observe(ph.DurMS/1e3, ph.Phase)
+		rt.events.Publish(Event{Type: "takeover." + ph.Phase, Member: member, Session: id,
 			Detail: fmt.Sprintf("%.1fms", ph.DurMS)})
 		if tr != nil {
 			tr.RecordSpan("takeover."+ph.Phase,
@@ -806,7 +808,7 @@ func (rt *Router) recordTakeoverPhases(tr *obs.Trace, t0 time.Time, member, id s
 func (rt *Router) takeover(r *http.Request, id, newOwner, oldOwner string) error {
 	tr := obs.TraceOf(r.Context())
 	t0 := time.Now()
-	rt.events.publish(Event{Type: "takeover.begin", Member: newOwner, Session: id,
+	rt.events.Publish(Event{Type: "takeover.begin", Member: newOwner, Session: id,
 		Detail: "from " + oldOwner})
 	reqBody, _ := json.Marshal(map[string]string{"source": rt.prober.URL(oldOwner)})
 	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
@@ -814,7 +816,7 @@ func (rt *Router) takeover(r *http.Request, id, newOwner, oldOwner string) error
 		bytes.NewReader(reqBody))
 	if err != nil {
 		rt.m.takeoverFail.Add(1)
-		rt.events.publish(Event{Type: "takeover.abort", Member: newOwner, Session: id,
+		rt.events.Publish(Event{Type: "takeover.abort", Member: newOwner, Session: id,
 			Detail: err.Error()})
 		return err
 	}
@@ -826,7 +828,7 @@ func (rt *Router) takeover(r *http.Request, id, newOwner, oldOwner string) error
 	if err != nil {
 		rt.markDown(newOwner, r, err)
 		rt.m.takeoverFail.Add(1)
-		rt.events.publish(Event{Type: "takeover.abort", Member: newOwner, Session: id,
+		rt.events.Publish(Event{Type: "takeover.abort", Member: newOwner, Session: id,
 			Detail: err.Error()})
 		return err
 	}
@@ -844,11 +846,11 @@ func (rt *Router) takeover(r *http.Request, id, newOwner, oldOwner string) error
 		if msg == "" {
 			msg = strings.TrimSpace(string(b))
 		}
-		rt.events.publish(Event{Type: "takeover.abort", Member: newOwner, Session: id,
+		rt.events.Publish(Event{Type: "takeover.abort", Member: newOwner, Session: id,
 			Detail: msg})
 		return fmt.Errorf("%s: HTTP %d: %s", newOwner, resp.StatusCode, msg)
 	}
-	rt.events.publish(Event{Type: "takeover.adopted", Member: newOwner, Session: id,
+	rt.events.Publish(Event{Type: "takeover.adopted", Member: newOwner, Session: id,
 		Detail: "from " + oldOwner})
 	return nil
 }

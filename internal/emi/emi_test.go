@@ -198,7 +198,7 @@ func TestPredictorSpectrum(t *testing.T) {
 	t.Parallel()
 	p := &Predictor{
 		Circuit:     testConverter(0),
-		SourceName:  "Vsw",
+		Sources:     []string{"Vsw"},
 		MeasureNode: "lisn_meas",
 		MaxFreq:     30e6,
 	}
@@ -232,7 +232,7 @@ func TestCouplingRaisesEmissions(t *testing.T) {
 	mk := func(k float64) *Spectrum {
 		p := &Predictor{
 			Circuit:     testConverter(k),
-			SourceName:  "Vsw",
+			Sources:     []string{"Vsw"},
 			MeasureNode: "lisn_meas",
 			MaxFreq:     100e6,
 		}
@@ -257,11 +257,12 @@ func TestPredictorErrors(t *testing.T) {
 	t.Parallel()
 	c := testConverter(0)
 	for _, p := range []*Predictor{
-		{Circuit: c, SourceName: "nope", MeasureNode: "lisn_meas"},
-		{Circuit: c, SourceName: "Vbat", MeasureNode: "lisn_meas"}, // no pulse
+		{Circuit: c, Sources: []string{"nope"}, MeasureNode: "lisn_meas"},
+		{Circuit: c, Sources: []string{"Vbat"}, MeasureNode: "lisn_meas"}, // no pulse
+		{Circuit: c, MeasureNode: "lisn_meas"},                            // no source
 	} {
 		if _, err := p.Spectrum(); err == nil {
-			t.Errorf("Predictor %+v should fail", p.SourceName)
+			t.Errorf("Predictor %+v should fail", p.Sources)
 		}
 	}
 }

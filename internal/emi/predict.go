@@ -31,8 +31,7 @@ type Spectrum struct {
 // and reading the measurement node — typically a LISN receiver port.
 type Predictor struct {
 	Circuit     *netlist.Circuit
-	SourceName  string   // single switching source (legacy convenience)
-	Sources     []string // all switching sources; empty = [SourceName]
+	Sources     []string // the switching sources
 	MeasureNode string
 	Harmonics   int     // number of harmonics; 0 = enough to reach BandStop
 	MaxFreq     float64 // 0 = BandStop
@@ -69,6 +68,9 @@ type BandSolver struct {
 // frequency up to maxFreq (0 = the CISPR band stop); harmonics > 0 caps
 // the harmonic count.
 func NewBandSolver(ckt *netlist.Circuit, sources []string, measure string, harmonics int, maxFreq float64) (*BandSolver, error) {
+	if len(sources) == 0 {
+		return nil, fmt.Errorf("emi: no switching source given")
+	}
 	wc := ckt.Clone()
 	b := &BandSolver{measure: measure}
 	for _, name := range sources {
@@ -177,13 +179,9 @@ func (b *BandSolver) SpectrumCtx(ctx context.Context) (*Spectrum, error) {
 // SpectrumCtx is Spectrum with cancellation: once ctx is done no further
 // harmonic solves start and the context's error is returned.
 func (p *Predictor) SpectrumCtx(ctx context.Context) (*Spectrum, error) {
-	names := p.Sources
-	if len(names) == 0 {
-		names = []string{p.SourceName}
-	}
 	// Validate and size the grid once; the workers compile their own
 	// solvers from the same inputs.
-	proto, err := NewBandSolver(p.Circuit, names, p.MeasureNode, p.Harmonics, p.MaxFreq)
+	proto, err := NewBandSolver(p.Circuit, p.Sources, p.MeasureNode, p.Harmonics, p.MaxFreq)
 	if err != nil {
 		return nil, err
 	}
@@ -198,12 +196,12 @@ func (p *Predictor) SpectrumCtx(ctx context.Context) (*Spectrum, error) {
 	defer engine.Phase("emi.harmonics")()
 	ctx, sp := obs.Start(ctx, "emi.spectrum")
 	sp.Int("harmonics", int64(len(ks)))
-	sp.Int("sources", int64(len(names)))
+	sp.Int("sources", int64(len(p.Sources)))
 	defer sp.End()
 	dbs := make([]float64, len(ks))
 	err = engine.ForEachStateCtx(ctx, len(ks),
 		func() (*BandSolver, error) {
-			bs, err := NewBandSolver(p.Circuit, names, p.MeasureNode, p.Harmonics, p.MaxFreq)
+			bs, err := NewBandSolver(p.Circuit, p.Sources, p.MeasureNode, p.Harmonics, p.MaxFreq)
 			if err != nil {
 				return nil, err
 			}

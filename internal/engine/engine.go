@@ -11,7 +11,7 @@
 // single substrate whose guarantees the rest of the code relies on:
 //
 //   - Deterministic results: work item i writes only slot i, so the
-//     output of Map/ForEach is independent of goroutine scheduling.
+//     output of MapCtx/ForEachCtx is independent of goroutine scheduling.
 //     Combined with pure per-item functions this makes parallel runs
 //     bit-for-bit identical to serial runs.
 //   - Bounded global concurrency: nested fan-outs (a pair ranking whose
@@ -50,7 +50,7 @@ var tokens = struct {
 // including the calling goroutine). 0 means GOMAXPROCS.
 var maxParallel atomic.Int64
 
-// SetMaxParallelism caps the number of workers any single Map/ForEach
+// SetMaxParallelism caps the number of workers any single MapCtx/ForEachCtx
 // call uses, including the calling goroutine; k <= 0 restores the
 // default (GOMAXPROCS). Raising the cap above GOMAXPROCS also grows the
 // global token budget so tests can exercise true concurrency on small
@@ -142,34 +142,26 @@ func (f *firstError) failed() bool {
 	return f.err != nil
 }
 
-// ForEach runs fn(0..n-1) over the shared bounded pool and returns the
+// ForEachCtx runs fn(0..n-1) over the shared bounded pool and returns the
 // lowest-index error, if any. After the first error no new items start
 // (items already running finish). A panic in fn is captured and
 // reported as a *PanicError. fn must treat distinct indices as
 // independent; slot-per-index writes keep results deterministic.
-func ForEach(n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), n, fn)
-}
-
-// ForEachCtx is ForEach with cancellation: once ctx is done no new items
-// start (items already running finish) and the context's error is
-// returned. fn itself receives no context — long-running items that must
-// observe cancellation mid-item should capture ctx themselves.
+//
+// Once ctx is done no new items start (items already running finish)
+// and the context's error is returned. fn itself receives no context —
+// long-running items that must observe cancellation mid-item should
+// capture ctx themselves.
 func ForEachCtx(ctx context.Context, n int, fn func(i int) error) error {
 	return ForEachStateCtx(ctx, n,
 		func() (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, i int) error { return fn(i) })
 }
 
-// ForEachState is ForEach for work that needs per-worker scratch state
-// (a cloned circuit, a factorized analyzer): newState runs once per
-// worker, fn receives that worker's state. The serial path calls
+// ForEachStateCtx is ForEachCtx for work that needs per-worker scratch
+// state (a cloned circuit, a factorized analyzer): newState runs once
+// per worker, fn receives that worker's state. The serial path calls
 // newState exactly once.
-func ForEachState[S any](n int, newState func() (S, error), fn func(s S, i int) error) error {
-	return ForEachStateCtx(context.Background(), n, newState, fn)
-}
-
-// ForEachStateCtx is ForEachState with cancellation (see ForEachCtx).
 func ForEachStateCtx[S any](ctx context.Context, n int, newState func() (S, error), fn func(s S, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -282,13 +274,9 @@ func runItem[S any](s S, i int, fn func(s S, i int) error) (err error) {
 	return fn(s, i)
 }
 
-// Map runs fn(0..n-1) over the pool and returns the results in index
-// order. On error the partial results are discarded.
-func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), n, fn)
-}
-
-// MapCtx is Map with cancellation (see ForEachCtx).
+// MapCtx runs fn(0..n-1) over the pool and returns the results in index
+// order. On error the partial results are discarded. Cancellation works
+// as in ForEachCtx.
 func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	err := ForEachCtx(ctx, n, func(i int) error {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -13,6 +14,9 @@ import (
 // the previous cap afterwards. Tests using it must not run in parallel
 // with each other (package-global state), so none of them call
 // t.Parallel.
+// bg is the context of tests that do not cancel.
+var bg = context.Background()
+
 func withParallelism(t *testing.T, k int, fn func()) {
 	t.Helper()
 	old := SetMaxParallelism(k)
@@ -23,7 +27,7 @@ func withParallelism(t *testing.T, k int, fn func()) {
 func TestMapOrderingDeterministic(t *testing.T) {
 	for _, k := range []int{1, 2, 8} {
 		withParallelism(t, k, func() {
-			got, err := Map(100, func(i int) (int, error) { return i * i, nil })
+			got, err := MapCtx(bg, 100, func(i int) (int, error) { return i * i, nil })
 			if err != nil {
 				t.Fatalf("k=%d: %v", k, err)
 			}
@@ -39,7 +43,7 @@ func TestMapOrderingDeterministic(t *testing.T) {
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	withParallelism(t, 8, func() {
 		counts := make([]atomic.Int64, 500)
-		if err := ForEach(len(counts), func(i int) error {
+		if err := ForEachCtx(bg, len(counts), func(i int) error {
 			counts[i].Add(1)
 			return nil
 		}); err != nil {
@@ -57,7 +61,7 @@ func TestForEachFirstErrorLowestIndex(t *testing.T) {
 	errBoom := errors.New("boom")
 	for _, k := range []int{1, 4} {
 		withParallelism(t, k, func() {
-			err := ForEach(50, func(i int) error {
+			err := ForEachCtx(bg, 50, func(i int) error {
 				if i == 7 || i == 33 {
 					return fmt.Errorf("item %d: %w", i, errBoom)
 				}
@@ -78,7 +82,7 @@ func TestForEachFirstErrorLowestIndex(t *testing.T) {
 func TestForEachPanicCapture(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		withParallelism(t, k, func() {
-			err := ForEach(10, func(i int) error {
+			err := ForEachCtx(bg, 10, func(i int) error {
 				if i == 3 {
 					panic("kaboom")
 				}
@@ -99,7 +103,7 @@ func TestForEachStatePerWorkerState(t *testing.T) {
 	withParallelism(t, 4, func() {
 		var states atomic.Int64
 		seen := make([]int64, 200)
-		err := ForEachState(len(seen),
+		err := ForEachStateCtx(bg, len(seen),
 			func() (int64, error) { return states.Add(1), nil },
 			func(s int64, i int) error {
 				atomic.StoreInt64(&seen[i], s)
@@ -123,7 +127,7 @@ func TestForEachStateSetupError(t *testing.T) {
 	errSetup := errors.New("setup failed")
 	for _, k := range []int{1, 4} {
 		withParallelism(t, k, func() {
-			err := ForEachState(10,
+			err := ForEachStateCtx(bg, 10,
 				func() (int, error) { return 0, errSetup },
 				func(int, int) error { return nil })
 			if !errors.Is(err, errSetup) {
@@ -136,8 +140,8 @@ func TestForEachStateSetupError(t *testing.T) {
 func TestNestedForEachDoesNotDeadlock(t *testing.T) {
 	withParallelism(t, 4, func() {
 		var total atomic.Int64
-		err := ForEach(8, func(i int) error {
-			return ForEach(8, func(j int) error {
+		err := ForEachCtx(bg, 8, func(i int) error {
+			return ForEachCtx(bg, 8, func(j int) error {
 				total.Add(1)
 				return nil
 			})

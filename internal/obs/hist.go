@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -102,66 +102,9 @@ func formatBound(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// HistogramSet is one labeled histogram family (e.g. job-phase latency
-// keyed by phase name): histograms are created on first Observe of a
-// label and exposed together as one Prometheus metric family.
-type HistogramSet struct {
-	name, help, label string
-	bounds            []float64
-
-	mu sync.RWMutex
-	m  map[string]*Histogram
-}
-
-// NewHistogramSet creates an empty family. name/help/label feed the
-// exposition; bounds are shared by every member.
-func NewHistogramSet(name, help, label string, bounds []float64) *HistogramSet {
-	return &HistogramSet{
-		name: name, help: help, label: label,
-		bounds: append([]float64(nil), bounds...),
-		m:      map[string]*Histogram{},
-	}
-}
-
-// Observe records v under the given label value.
-func (s *HistogramSet) Observe(labelVal string, v float64) {
-	s.mu.RLock()
-	h := s.m[labelVal]
-	s.mu.RUnlock()
-	if h == nil {
-		s.mu.Lock()
-		h = s.m[labelVal]
-		if h == nil {
-			h = NewHistogram(s.bounds)
-			s.m[labelVal] = h
-		}
-		s.mu.Unlock()
-	}
-	h.Observe(v)
-}
-
-// Get returns the member histogram for a label value, or nil.
-func (s *HistogramSet) Get(labelVal string) *Histogram {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m[labelVal]
-}
-
-// Labels returns the observed label values, sorted.
-func (s *HistogramSet) Labels() []string {
-	s.mu.RLock()
-	out := make([]string, 0, len(s.m))
-	for k := range s.m {
-		out = append(out, k)
-	}
-	s.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
 // HistogramVec is a histogram family keyed by a fixed tuple of labels
-// (e.g. forward latency by route and outcome) — HistogramSet's shape
-// generalized past one label. Members are created on first Observe.
+// (e.g. job-phase latency by phase, forward latency by route and
+// outcome). Members are created on first Observe.
 type HistogramVec struct {
 	name, help string
 	labels     []string
@@ -228,13 +171,10 @@ func (s *HistogramVec) keys() []string {
 	return out
 }
 
-// WriteProm writes the family in the Prometheus text exposition format:
-// one HELP/TYPE header, then per label tuple the cumulative _bucket
-// series, _sum and _count.
-func (s *HistogramVec) WriteProm(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", s.name, s.help, s.name); err != nil {
-		return err
-	}
+// expose writes the family: one HELP/TYPE header, then per label tuple
+// the cumulative _bucket series, _sum and _count.
+func (s *HistogramVec) expose(b *bytes.Buffer) {
+	writeHeader(b, s.name, s.help, "histogram")
 	for _, key := range s.keys() {
 		vals := strings.Split(key, vecKeySep)
 		var lb strings.Builder
@@ -247,51 +187,13 @@ func (s *HistogramVec) WriteProm(w io.Writer) error {
 		s.mu.RUnlock()
 		counts := h.BucketCounts()
 		cum := uint64(0)
-		for i, b := range h.bounds {
+		for i, bound := range h.bounds {
 			cum += counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", s.name, labels, formatBound(b), cum); err != nil {
-				return err
-			}
+			fmt.Fprintf(b, "%s_bucket{%sle=%q} %d\n", s.name, labels, formatBound(bound), cum)
 		}
 		cum += counts[len(counts)-1]
-		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", s.name, labels, cum); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "%s_bucket{%sle=\"+Inf\"} %d\n", s.name, labels, cum)
 		trimmed := strings.TrimSuffix(labels, ",")
-		if _, err := fmt.Fprintf(w, "%s_sum{%s} %g\n%s_count{%s} %d\n",
-			s.name, trimmed, h.Sum(), s.name, trimmed, h.Count()); err != nil {
-			return err
-		}
+		fmt.Fprintf(b, "%s_sum{%s} %g\n%s_count{%s} %d\n", s.name, trimmed, h.Sum(), s.name, trimmed, h.Count())
 	}
-	return nil
-}
-
-// WriteProm writes the family in the Prometheus text exposition format
-// (version 0.0.4): one # HELP and # TYPE header, then per label value
-// the cumulative _bucket series, _sum and _count.
-func (s *HistogramSet) WriteProm(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", s.name, s.help, s.name); err != nil {
-		return err
-	}
-	for _, lv := range s.Labels() {
-		h := s.Get(lv)
-		counts := h.BucketCounts()
-		cum := uint64(0)
-		for i, b := range h.bounds {
-			cum += counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n",
-				s.name, s.label, lv, formatBound(b), cum); err != nil {
-				return err
-			}
-		}
-		cum += counts[len(counts)-1]
-		if _, err := fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", s.name, s.label, lv, cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum{%s=%q} %g\n%s_count{%s=%q} %d\n",
-			s.name, s.label, lv, h.Sum(), s.name, s.label, lv, h.Count()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

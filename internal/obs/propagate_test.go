@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -130,36 +129,5 @@ func TestChromeDocMerge(t *testing.T) {
 	}
 	if shifted.Pid != 2 {
 		t.Fatalf("replica span pid = %d, want 2", shifted.Pid)
-	}
-}
-
-// TestHistogramVecExposition pins the multi-label exposition format:
-// both label names on every series, deterministic tuple order, le last.
-func TestHistogramVecExposition(t *testing.T) {
-	v := NewHistogramVec("test_fwd_seconds", "Forward latency.", []string{"route", "outcome"}, []float64{0.1, 1})
-	v.Observe(0.05, "predict", "ok")
-	v.Observe(2.0, "predict", "ok")
-	v.Observe(0.5, "jobs", "error")
-
-	var buf bytes.Buffer
-	if err := v.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# HELP test_fwd_seconds Forward latency.",
-		"# TYPE test_fwd_seconds histogram",
-		`test_fwd_seconds_bucket{route="predict",outcome="ok",le="0.1"} 1`,
-		`test_fwd_seconds_bucket{route="predict",outcome="ok",le="+Inf"} 2`,
-		`test_fwd_seconds_count{route="predict",outcome="ok"} 2`,
-		`test_fwd_seconds_bucket{route="jobs",outcome="error",le="1"} 1`,
-		`test_fwd_seconds_sum{route="jobs",outcome="error"} 0.5`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	if h := v.Get("predict", "ok"); h == nil || h.Count() != 2 {
-		t.Fatal("Get did not find the observed member")
 	}
 }

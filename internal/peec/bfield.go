@@ -1,6 +1,7 @@
 package peec
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/engine"
@@ -63,7 +64,7 @@ func FieldMap(cs []*Conductor, r geom.Rect, z float64, nx, ny int) [][]float64 {
 	}
 	defer engine.Phase("peec.fieldmap")()
 	out := make([][]float64, ny)
-	engine.ForEach(ny, func(iy int) error {
+	engine.ForEachCtx(context.Background(), ny, func(iy int) error {
 		row := make([]float64, nx)
 		y := r.Min.Y + (r.Max.Y-r.Min.Y)*float64(iy)/float64(ny-1)
 		for ix := 0; ix < nx; ix++ {

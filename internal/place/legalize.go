@@ -8,20 +8,16 @@ import (
 	"repro/internal/layout"
 )
 
-// Legalize repairs a layout with design-rule violations by rip-up and
+// LegalizeCtx repairs a layout with design-rule violations by rip-up and
 // re-place: the movable components involved in violations are removed and
 // re-inserted by the prioritised sequential search, which only yields
 // legal positions. It is the batch companion of the interactive adviser —
 // e.g. for turning an imported (EMI-blind) layout into a legal one while
-// disturbing as few components as possible.
+// disturbing as few components as possible. Cancellation works as in
+// AutoPlaceCtx.
 //
 // Returns the references that were re-placed. If even re-placement cannot
 // find room, a PlaceError lists the remainder.
-func Legalize(d *layout.Design, opt Options) ([]string, error) {
-	return LegalizeCtx(context.Background(), d, opt)
-}
-
-// LegalizeCtx is Legalize with cancellation (see AutoPlaceCtx).
 func LegalizeCtx(ctx context.Context, d *layout.Design, opt Options) ([]string, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package place
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/geom"
@@ -18,7 +19,7 @@ func TestLegalizeRepairsBaselineLayout(t *testing.T) {
 	if Verify(d).Green() {
 		t.Fatal("baseline should violate rules (test premise)")
 	}
-	moved, err := Legalize(d, Options{})
+	moved, err := LegalizeCtx(context.Background(), d, Options{})
 	if err != nil {
 		t.Fatalf("Legalize: %v", err)
 	}
@@ -49,7 +50,7 @@ func TestLegalizeNoopOnGreen(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := placementSnapshot(d)
-	moved, err := Legalize(d, Options{})
+	moved, err := LegalizeCtx(context.Background(), d, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestLegalizeRespectsPreplacedConflicts(t *testing.T) {
 		// still red because of the preplaced pair.
 		_ = err
 	}
-	if _, err := Legalize(d, Options{}); err == nil {
+	if _, err := LegalizeCtx(context.Background(), d, Options{}); err == nil {
 		t.Error("unfixable preplaced conflict should report an error")
 	}
 	if d.Find("C1").Center != geom.V2(0.02, 0.025) {

@@ -62,7 +62,7 @@ func orderFor(d *layout.Design, opt Options, rng *rand.Rand) []*layout.Component
 // placeUnplaced runs the prioritised sequential search for every movable
 // component that currently has no position, leaving placed ones alone —
 // the shared engine of AutoPlace (which unplaces everything first) and
-// Legalize (which rips up only the offenders). Cancellation is checked
+// LegalizeCtx (which rips up only the offenders). Cancellation is checked
 // between components and between raster rows inside a candidate scan.
 func placeUnplaced(ctx context.Context, d *layout.Design, opt Options, rng *rand.Rand) (int, error) {
 	grid := opt.GridStep

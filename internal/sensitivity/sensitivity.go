@@ -62,7 +62,7 @@ func RankCtx(ctx context.Context, ckt *netlist.Circuit, sourceName, measureNode 
 
 	baseline := &emi.Predictor{
 		Circuit:     ckt,
-		SourceName:  sourceName,
+		Sources:     []string{sourceName},
 		MeasureNode: measureNode,
 		MaxFreq:     opt.MaxFreq,
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -394,4 +395,84 @@ func getBody(t *testing.T, url string) []byte {
 		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
 	}
 	return b
+}
+
+// gatedStore holds every terminal job record at the door until release
+// closes, reporting each held record's job ID on entered.
+type gatedStore struct {
+	store.Store
+	entered chan string
+	release chan struct{}
+}
+
+func (g *gatedStore) AppendJob(rec store.JobRecord) error {
+	if rec.State != store.JobQueued {
+		g.entered <- rec.ID
+		<-g.release
+	}
+	return g.Store.AppendJob(rec)
+}
+
+// TestTerminalRecordBeforeFinish pins the write-ahead rule for job
+// completion: while a job's terminal record is not yet appended, nobody
+// may see the job finish — Wait (and with it ?wait=1 and the SSE done
+// frame) stays blocked. Otherwise a restart in that window requeues and
+// reruns a job a client already saw finish. Both terminal paths are
+// covered: a run to completion and the cancellation of a queued job.
+func TestTerminalRecordBeforeFinish(t *testing.T) {
+	for _, queuedCancel := range []bool{false, true} {
+		t.Run(fmt.Sprintf("queuedCancel=%v", queuedCancel), func(t *testing.T) {
+			// entered has room for every terminal record the test causes,
+			// so the ones after the checked one never block.
+			gs := &gatedStore{Store: store.NewMemory(), entered: make(chan string, 4), release: make(chan struct{})}
+			hold := make(chan struct{})
+			s := testServer(t, Config{
+				Workers: 1, Store: gs,
+				Runners: map[Kind]Runner{
+					"work": func(ctx context.Context, req []byte) (any, error) { return "ok", nil },
+					"hold": func(ctx context.Context, req []byte) (any, error) { <-hold; return "ok", nil },
+				},
+			})
+			var once sync.Once
+			release := func() { once.Do(func() { close(gs.release) }) }
+			t.Cleanup(func() { release(); close(hold) }) // before the drain registered above
+
+			kind := Kind("work")
+			if queuedCancel {
+				if _, err := s.Submit("hold", []byte(`{}`)); err != nil {
+					t.Fatal(err)
+				}
+				kind = "hold"
+			}
+			j, err := s.Submit(kind, []byte(`{"n":1}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if queuedCancel {
+				go s.Cancel(j.ID)
+			}
+			if id := <-gs.entered; id != j.ID {
+				t.Fatalf("held terminal record of %s, want %s", id, j.ID)
+			}
+
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			if err := j.Wait(ctx); err == nil {
+				t.Fatal("Wait returned while the terminal record was still unjournaled")
+			}
+			release()
+			ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel2()
+			if err := j.Wait(ctx2); err != nil {
+				t.Fatalf("Wait after the append: %v", err)
+			}
+			want := StateDone
+			if queuedCancel {
+				want = StateCancelled
+			}
+			if st := j.State(); st != want {
+				t.Fatalf("state %s, want %s", st, want)
+			}
+		})
+	}
 }

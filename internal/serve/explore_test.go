@@ -8,89 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
-
-// TestProgressLogReplay pins the ring semantics: subscribers replay events
-// after their cursor, live events fan out, and the ring survives close so
-// late subscribers still see history.
-func TestProgressLogReplay(t *testing.T) {
-	t.Parallel()
-	pl := newProgressLog()
-	now := time.Unix(100, 0)
-	for i := 1; i <= 3; i++ {
-		if !pl.publish("front", map[string]int{"gen": i}, now) {
-			t.Fatalf("publish %d rejected", i)
-		}
-	}
-
-	// Full replay from the beginning.
-	ch, latest, cancel := pl.subscribe(0)
-	if latest != 3 {
-		t.Fatalf("latest seq %d, want 3", latest)
-	}
-	for i := 1; i <= 3; i++ {
-		ev := <-ch
-		if ev.Seq != uint64(i) || ev.Stage != "front" {
-			t.Fatalf("replayed event %+v, want seq %d", ev, i)
-		}
-	}
-
-	// A live event reaches the open subscriber.
-	pl.publish("yield", "running", now)
-	if ev := <-ch; ev.Seq != 4 || ev.Stage != "yield" {
-		t.Fatalf("live event %+v", ev)
-	}
-	cancel()
-
-	// A cursor skips already-seen history.
-	ch2, _, cancel2 := pl.subscribe(3)
-	if ev := <-ch2; ev.Seq != 4 {
-		t.Fatalf("cursor replay %+v, want seq 4", ev)
-	}
-	cancel2()
-
-	// Close ends live subscribers but keeps the ring for replay.
-	ch3, _, cancel3 := pl.subscribe(4)
-	defer cancel3()
-	pl.close()
-	if _, ok := <-ch3; ok {
-		t.Fatal("subscriber channel still open after close")
-	}
-	ch4, latest4, cancel4 := pl.subscribe(0)
-	defer cancel4()
-	if latest4 != 4 {
-		t.Fatalf("post-close latest %d, want 4", latest4)
-	}
-	n := 0
-	for range ch4 {
-		n++
-	}
-	if n != 4 {
-		t.Fatalf("post-close replay delivered %d events, want 4", n)
-	}
-}
-
-// TestProgressLogRingCap: the ring keeps only the newest progressRingCap
-// events, and sequence numbers keep counting across the trim.
-func TestProgressLogRingCap(t *testing.T) {
-	t.Parallel()
-	pl := newProgressLog()
-	now := time.Unix(0, 0)
-	total := progressRingCap + 17
-	for i := 0; i < total; i++ {
-		pl.publish("s", i, now)
-	}
-	ch, latest, cancel := pl.subscribe(0)
-	defer cancel()
-	if latest != uint64(total) {
-		t.Fatalf("latest %d, want %d", latest, total)
-	}
-	first := <-ch
-	if first.Seq != uint64(total-progressRingCap+1) {
-		t.Fatalf("oldest retained seq %d, want %d", first.Seq, total-progressRingCap+1)
-	}
-}
 
 // sseEvent is one parsed frame of a text/event-stream response.
 type sseEvent struct {

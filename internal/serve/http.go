@@ -226,7 +226,7 @@ func (s *Server) jobHandler(w http.ResponseWriter, r *http.Request) {
 // Pareto fronts, running yield estimates) as server-sent events. Each
 // progress event uses its stage as the SSE event name ("front", "yield")
 // and its per-job sequence number as the id; a client reconnecting with
-// Last-Event-ID (or ?after=N) replays what the bounded ring still holds.
+// its last id (see obs.NewSSE) replays what the bounded ring still holds.
 // The stream opens with a "hello" event carrying the job view and — when
 // the job reaches a terminal state — closes with a "done" event carrying
 // the final view (including the result).
@@ -236,49 +236,28 @@ func (s *Server) jobEventsHandler(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	sse, after, ok := obs.NewSSE(w, r)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	var after uint64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		after, _ = strconv.ParseUint(v, 10, 64)
-	} else if v := r.URL.Query().Get("after"); v != "" {
-		after, _ = strconv.ParseUint(v, 10, 64)
-	}
-	ch, _, cancel := j.progress.subscribe(after)
+	ch, cancel := j.progress.Subscribe(after)
 	defer cancel()
 	s.m.jobStreams.Add(1)
 	defer s.m.jobStreams.Add(-1)
 
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	h.Set("X-Job-ID", j.ID)
-	w.WriteHeader(http.StatusOK)
+	w.Header().Set("X-Job-ID", j.ID)
+	sse.Start()
 	last := after
-	writeSSE(w, "hello", last, j.View())
-	fl.Flush()
-	for {
-		select {
-		case ev, open := <-ch:
-			if !open {
-				// Closed stream: the job is terminal, or this client fell
-				// too far behind (it reconnects with ?after= to resume).
-				if j.State().terminal() {
-					writeSSE(w, "done", last, j.View())
-					fl.Flush()
-				}
-				return
-			}
-			last = ev.Seq
-			writeSSE(w, ev.Stage, ev.Seq, ev)
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
+	sse.Event("hello", last, j.View())
+	closed := obs.Follow(r.Context(), ch, func(ev ProgressEvent) {
+		last = ev.Seq
+		sse.Event(ev.Stage, ev.Seq, ev)
+	})
+	// A closed stream means the job is terminal, or this client fell too
+	// far behind (it reconnects with ?after= to resume).
+	if closed && j.State().terminal() {
+		sse.Event("done", last, j.View())
 	}
 }
 

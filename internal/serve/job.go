@@ -71,7 +71,7 @@ type Job struct {
 	// progress is the job's intermediate-result stream (see progress.go).
 	// Created with the job and closed with it, so subscribers of jobs
 	// that never publish (or never run) still terminate cleanly.
-	progress *progressLog
+	progress *obs.Log[ProgressEvent]
 }
 
 func newJob(id string, kind Kind, key engine.Key, req []byte, now time.Time) *Job {
@@ -80,7 +80,7 @@ func newJob(id string, kind Kind, key engine.Key, req []byte, now time.Time) *Jo
 		req:      req,
 		state:    StateQueued,
 		done:     make(chan struct{}),
-		progress: newProgressLog(),
+		progress: obs.NewLog(progressRingCap, progressChanSlack, stampProgress),
 	}
 }
 

@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 )
 
 // metrics holds the server's monotonic counters and live gauges. All
@@ -35,148 +35,85 @@ type metrics struct {
 // dedup and result-store traffic, plus the engine's shared compute
 // counters (cache hits, MNA solves, field integrals).
 func (s *Server) WriteMetrics(w io.Writer) error {
-	// Snapshot the current per-state job population under the lock.
-	byState := map[State]int{
-		StateQueued: 0, StateRunning: 0,
-		StateDone: 0, StateFailed: 0, StateCancelled: 0,
-	}
-	s.mu.Lock()
-	for _, j := range s.jobs {
-		byState[j.State()]++
-	}
-	storeLen := s.store.len()
-	s.mu.Unlock()
+	return s.reg.WriteProm(w)
+}
 
-	p := func(format string, args ...any) error {
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
-	}
-	if err := p("# HELP emiserve_queue_depth Jobs waiting in the bounded queue.\n"+
-		"# TYPE emiserve_queue_depth gauge\nemiserve_queue_depth %d\n",
-		s.QueueDepth()); err != nil {
-		return err
-	}
-	if err := p("# HELP emiserve_workers_busy Workers currently running a job.\n"+
-		"# TYPE emiserve_workers_busy gauge\nemiserve_workers_busy %d\n",
-		s.m.busy.Load()); err != nil {
-		return err
-	}
-	if err := p("# HELP emiserve_jobs Jobs currently retained, by state.\n" +
-		"# TYPE emiserve_jobs gauge\n"); err != nil {
-		return err
-	}
-	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
-		if err := p("emiserve_jobs{state=%q} %d\n", st, byState[st]); err != nil {
-			return err
+// newRegistry declares every family the server exports, read through
+// the metrics atomics and the state they summarize.
+func (s *Server) newRegistry() *obs.Registry {
+	r := &obs.Registry{}
+	obs.Gauge(r, "emiserve_queue_depth", "Jobs waiting in the bounded queue.", s.QueueDepth)
+	obs.Gauge(r, "emiserve_workers_busy", "Workers currently running a job.", s.m.busy.Load)
+	obs.GaugeVec(r, "emiserve_jobs", "Jobs currently retained, by state.", "state", func(emit func(string, int)) {
+		byState := map[State]int{}
+		s.mu.Lock()
+		for _, j := range s.jobs {
+			byState[j.State()]++
 		}
-	}
-	if err := p("# HELP emiserve_jobs_finished_total Jobs finished since start, by terminal state.\n"+
-		"# TYPE emiserve_jobs_finished_total counter\n"+
-		"emiserve_jobs_finished_total{state=\"done\"} %d\n"+
-		"emiserve_jobs_finished_total{state=\"failed\"} %d\n"+
-		"emiserve_jobs_finished_total{state=\"cancelled\"} %d\n",
-		s.m.finishedDone.Load(), s.m.finishedFailed.Load(), s.m.finishedCancelled.Load()); err != nil {
-		return err
-	}
-	if err := p("# HELP emiserve_submitted_total Jobs enqueued since start.\n"+
-		"# TYPE emiserve_submitted_total counter\nemiserve_submitted_total %d\n"+
-		"# HELP emiserve_dedup_hits_total Submissions folded into an identical in-flight job.\n"+
-		"# TYPE emiserve_dedup_hits_total counter\nemiserve_dedup_hits_total %d\n"+
-		"# HELP emiserve_result_store_hits_total Submissions answered from the completed-result store.\n"+
-		"# TYPE emiserve_result_store_hits_total counter\nemiserve_result_store_hits_total %d\n"+
-		"# HELP emiserve_result_store_misses_total Submissions that had to compute.\n"+
-		"# TYPE emiserve_result_store_misses_total counter\nemiserve_result_store_misses_total %d\n"+
-		"# HELP emiserve_result_store_entries Results currently cached.\n"+
-		"# TYPE emiserve_result_store_entries gauge\nemiserve_result_store_entries %d\n"+
-		"# HELP emiserve_rejected_total Submissions rejected, by reason.\n"+
-		"# TYPE emiserve_rejected_total counter\n"+
-		"emiserve_rejected_total{reason=\"queue_full\"} %d\n"+
-		"emiserve_rejected_total{reason=\"draining\"} %d\n",
-		s.m.submitted.Load(), s.m.dedupHits.Load(),
-		s.m.storeHits.Load(), s.m.storeMisses.Load(), storeLen,
-		s.m.rejectedFull.Load(), s.m.rejectedDraining.Load()); err != nil {
-		return err
-	}
+		s.mu.Unlock()
+		for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
+			emit(string(st), byState[st])
+		}
+	})
+	obs.CounterVec(r, "emiserve_jobs_finished_total", "Jobs finished since start, by terminal state.", "state", func(emit func(string, uint64)) {
+		emit("done", s.m.finishedDone.Load())
+		emit("failed", s.m.finishedFailed.Load())
+		emit("cancelled", s.m.finishedCancelled.Load())
+	})
+	obs.Counter(r, "emiserve_submitted_total", "Jobs enqueued since start.", s.m.submitted.Load)
+	obs.Counter(r, "emiserve_dedup_hits_total", "Submissions folded into an identical in-flight job.", s.m.dedupHits.Load)
+	obs.Counter(r, "emiserve_result_store_hits_total", "Submissions answered from the completed-result store.", s.m.storeHits.Load)
+	obs.Counter(r, "emiserve_result_store_misses_total", "Submissions that had to compute.", s.m.storeMisses.Load)
+	obs.Gauge(r, "emiserve_result_store_entries", "Results currently cached.", func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.store.len()
+	})
+	obs.CounterVec(r, "emiserve_rejected_total", "Submissions rejected, by reason.", "reason", func(emit func(string, uint64)) {
+		emit("queue_full", s.m.rejectedFull.Load())
+		emit("draining", s.m.rejectedDraining.Load())
+	})
 
-	ss := s.sessions.Stats()
-	if err := p("# HELP emiserve_sessions_active Live design sessions.\n"+
-		"# TYPE emiserve_sessions_active gauge\nemiserve_sessions_active %d\n"+
-		"# HELP emiserve_sessions_created_total Design sessions created since start.\n"+
-		"# TYPE emiserve_sessions_created_total counter\nemiserve_sessions_created_total %d\n"+
-		"# HELP emiserve_sessions_evicted_total Design sessions evicted by the idle TTL.\n"+
-		"# TYPE emiserve_sessions_evicted_total counter\nemiserve_sessions_evicted_total %d\n"+
-		"# HELP emiserve_session_edits_total Session edits applied, including undo and redo.\n"+
-		"# TYPE emiserve_session_edits_total counter\nemiserve_session_edits_total %d\n"+
-		"# HELP emiserve_session_event_streams Open session SSE streams.\n"+
-		"# TYPE emiserve_session_event_streams gauge\nemiserve_session_event_streams %d\n",
-		ss.Active, ss.Created, ss.Evicted,
-		s.m.sessionEdits.Load(), s.m.sseClients.Load()); err != nil {
-		return err
-	}
-
-	if err := p("# HELP emiserve_job_progress_events_total Intermediate results published by batch jobs.\n"+
-		"# TYPE emiserve_job_progress_events_total counter\nemiserve_job_progress_events_total %d\n"+
-		"# HELP emiserve_job_event_streams Open job progress SSE streams.\n"+
-		"# TYPE emiserve_job_event_streams gauge\nemiserve_job_event_streams %d\n",
-		s.m.progressEvents.Load(), s.m.jobStreams.Load()); err != nil {
-		return err
-	}
-
-	if err := p("# HELP emiserve_cluster_adoptions_total Sessions adopted from a cluster peer via takeover.\n"+
-		"# TYPE emiserve_cluster_adoptions_total counter\nemiserve_cluster_adoptions_total %d\n",
-		s.m.takeovers.Load()); err != nil {
-		return err
-	}
+	obs.Gauge(r, "emiserve_sessions_active", "Live design sessions.", func() int { return s.sessions.Stats().Active })
+	obs.Counter(r, "emiserve_sessions_created_total", "Design sessions created since start.", func() uint64 { return s.sessions.Stats().Created })
+	obs.Counter(r, "emiserve_sessions_evicted_total", "Design sessions evicted by the idle TTL.", func() uint64 { return s.sessions.Stats().Evicted })
+	obs.Counter(r, "emiserve_session_edits_total", "Session edits applied, including undo and redo.", s.m.sessionEdits.Load)
+	obs.Gauge(r, "emiserve_session_event_streams", "Open session SSE streams.", s.m.sseClients.Load)
+	obs.Counter(r, "emiserve_job_progress_events_total", "Intermediate results published by batch jobs.", s.m.progressEvents.Load)
+	obs.Gauge(r, "emiserve_job_event_streams", "Open job progress SSE streams.", s.m.jobStreams.Load)
+	obs.Counter(r, "emiserve_cluster_adoptions_total", "Sessions adopted from a cluster peer via takeover.", s.m.takeovers.Load)
 
 	// Durability counters: present only when a store is configured, so an
 	// ephemeral server's exposition is unchanged.
-	if s.cfg.Store != nil {
-		sst := s.cfg.Store.Stats()
-		if err := p("# HELP emiserve_requeued_total Jobs requeued from the durable log at startup.\n"+
-			"# TYPE emiserve_requeued_total counter\nemiserve_requeued_total %d\n"+
-			"# HELP emiserve_session_compactions_total Session WALs rewritten as fresh snapshots.\n"+
-			"# TYPE emiserve_session_compactions_total counter\nemiserve_session_compactions_total %d\n"+
-			"# HELP emiserve_store_appends_total WAL records appended (edits, jobs, snapshots).\n"+
-			"# TYPE emiserve_store_appends_total counter\nemiserve_store_appends_total %d\n"+
-			"# HELP emiserve_store_syncs_total fsync calls issued by the store.\n"+
-			"# TYPE emiserve_store_syncs_total counter\nemiserve_store_syncs_total %d\n"+
-			"# HELP emiserve_store_compactions_total Log rewrites performed by the store.\n"+
-			"# TYPE emiserve_store_compactions_total counter\nemiserve_store_compactions_total %d\n"+
-			"# HELP emiserve_store_repairs_total Damaged WAL tails truncated during recovery.\n"+
-			"# TYPE emiserve_store_repairs_total counter\nemiserve_store_repairs_total %d\n",
-			s.m.requeued.Load(), s.m.compactions.Load(),
-			sst.Appends, sst.Syncs, sst.Compactions, sst.Repairs); err != nil {
-			return err
-		}
+	if st := s.cfg.Store; st != nil {
+		obs.Counter(r, "emiserve_requeued_total", "Jobs requeued from the durable log at startup.", s.m.requeued.Load)
+		obs.Counter(r, "emiserve_session_compactions_total", "Session WALs rewritten as fresh snapshots.", s.m.compactions.Load)
+		obs.Counter(r, "emiserve_store_appends_total", "WAL records appended (edits, jobs, snapshots).", func() uint64 { return st.Stats().Appends })
+		obs.Counter(r, "emiserve_store_syncs_total", "fsync calls issued by the store.", func() uint64 { return st.Stats().Syncs })
+		obs.Counter(r, "emiserve_store_compactions_total", "Log rewrites performed by the store.", func() uint64 { return st.Stats().Compactions })
+		obs.Counter(r, "emiserve_store_repairs_total", "Damaged WAL tails truncated during recovery.", func() uint64 { return st.Stats().Repairs })
 	}
 
 	// The per-phase latency histograms aggregated from the job traces and
 	// the session edit path.
-	if err := s.phases.WriteProm(w); err != nil {
-		return err
-	}
+	r.Histograms(s.phases)
 
 	// The engine's shared compute substrate (process-global).
-	es := engine.Snapshot()
-	return p("# HELP engine_cache_hits_total Field-integral memo cache hits.\n"+
-		"# TYPE engine_cache_hits_total counter\nengine_cache_hits_total %d\n"+
-		"# HELP engine_cache_misses_total Field-integral memo cache misses.\n"+
-		"# TYPE engine_cache_misses_total counter\nengine_cache_misses_total %d\n"+
-		"# HELP engine_mna_solves_total Frequency-domain MNA solves.\n"+
-		"# TYPE engine_mna_solves_total counter\nengine_mna_solves_total %d\n"+
-		"# HELP engine_neumann_integrals_total Neumann mutual-inductance integrals.\n"+
-		"# TYPE engine_neumann_integrals_total counter\nengine_neumann_integrals_total %d\n"+
-		"# HELP engine_pool_batches_total Parallel batches dispatched by the shared pool.\n"+
-		"# TYPE engine_pool_batches_total counter\nengine_pool_batches_total %d\n"+
-		"# HELP engine_pool_tasks_total Work items executed by the shared pool.\n"+
-		"# TYPE engine_pool_tasks_total counter\nengine_pool_tasks_total %d\n"+
-		"# HELP engine_lu_assemblies_total System-matrix assemblies (stamp-plan executions).\n"+
-		"# TYPE engine_lu_assemblies_total counter\nengine_lu_assemblies_total %d\n"+
-		"# HELP engine_lu_factorizations_total LU factorizations performed.\n"+
-		"# TYPE engine_lu_factorizations_total counter\nengine_lu_factorizations_total %d\n"+
-		"# HELP engine_lu_resolves_total Triangular resolves against a retained factorization.\n"+
-		"# TYPE engine_lu_resolves_total counter\nengine_lu_resolves_total %d\n",
-		es.CacheHits, es.CacheMisses, es.MNASolves, es.NeumannIntegrals,
-		es.PoolBatches, es.PoolTasks,
-		es.Assemblies, es.Factorizations, es.Resolves)
+	for _, c := range []struct {
+		name, help string
+		v          func(engine.Stats) uint64
+	}{
+		{"engine_cache_hits_total", "Field-integral memo cache hits.", func(e engine.Stats) uint64 { return e.CacheHits }},
+		{"engine_cache_misses_total", "Field-integral memo cache misses.", func(e engine.Stats) uint64 { return e.CacheMisses }},
+		{"engine_mna_solves_total", "Frequency-domain MNA solves.", func(e engine.Stats) uint64 { return e.MNASolves }},
+		{"engine_neumann_integrals_total", "Neumann mutual-inductance integrals.", func(e engine.Stats) uint64 { return e.NeumannIntegrals }},
+		{"engine_pool_batches_total", "Parallel batches dispatched by the shared pool.", func(e engine.Stats) uint64 { return e.PoolBatches }},
+		{"engine_pool_tasks_total", "Work items executed by the shared pool.", func(e engine.Stats) uint64 { return e.PoolTasks }},
+		{"engine_lu_assemblies_total", "System-matrix assemblies (stamp-plan executions).", func(e engine.Stats) uint64 { return e.Assemblies }},
+		{"engine_lu_factorizations_total", "LU factorizations performed.", func(e engine.Stats) uint64 { return e.Factorizations }},
+		{"engine_lu_resolves_total", "Triangular resolves against a retained factorization.", func(e engine.Stats) uint64 { return e.Resolves }},
+	} {
+		obs.Counter(r, c.name, c.help, func() uint64 { return c.v(engine.Snapshot()) })
+	}
+	return r
 }

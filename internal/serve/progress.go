@@ -3,17 +3,17 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"sync"
 	"time"
 )
 
 // Job progress streaming: long-running batch jobs (the design-space
 // explorer, the Monte Carlo yield analysis) publish intermediate results
 // — per-generation Pareto fronts, running yield estimates — while they
-// run. Each job owns a bounded progressLog ring; subscribers (the
-// GET /v1/jobs/{id}/events SSE handler) replay what the ring still holds
-// and then follow live. Runners reach their job's log through the
-// context via Publish, so the compute code never sees the server.
+// run. Each job owns a bounded obs.Log ring that numbers its events
+// 1, 2, …; subscribers (the GET /v1/jobs/{id}/events SSE handler) replay
+// what the ring still holds and then follow live. Runners reach their
+// job's log through the context via Publish, so the compute code never
+// sees the server.
 
 const (
 	// progressRingCap bounds the per-job replay ring. An explorer emits
@@ -35,98 +35,8 @@ type ProgressEvent struct {
 	At    time.Time       `json:"at"`
 }
 
-// progressLog is a bounded ring of a job's progress events with
-// subscription fan-out. Safe for concurrent use.
-type progressLog struct {
-	mu     sync.Mutex
-	events []ProgressEvent // the most recent progressRingCap events
-	seq    uint64          // seq of the last published event
-	subs   map[chan ProgressEvent]bool
-	closed bool
-}
-
-func newProgressLog() *progressLog {
-	return &progressLog{subs: make(map[chan ProgressEvent]bool)}
-}
-
-// publish appends an event and fans it out. A subscriber whose channel
-// is full is dropped — progress is advisory, and a stalled client must
-// not block the worker. Events published after close are discarded.
-// Returns whether the event was accepted.
-func (p *progressLog) publish(stage string, v any, now time.Time) bool {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return false
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return false
-	}
-	p.seq++
-	ev := ProgressEvent{Seq: p.seq, Stage: stage, Data: data, At: now}
-	p.events = append(p.events, ev)
-	if n := len(p.events) - progressRingCap; n > 0 {
-		p.events = append(p.events[:0:0], p.events[n:]...)
-	}
-	for ch := range p.subs {
-		select {
-		case ch <- ev:
-		default:
-			delete(p.subs, ch)
-			close(ch)
-		}
-	}
-	return true
-}
-
-// subscribe returns a channel that replays the retained events with
-// Seq > after and then carries live events until cancel is called, the
-// log closes, or the subscriber falls behind. The second return is the
-// seq of the latest event at subscription time.
-func (p *progressLog) subscribe(after uint64) (<-chan ProgressEvent, uint64, func()) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var replay []ProgressEvent
-	for _, ev := range p.events {
-		if ev.Seq > after {
-			replay = append(replay, ev)
-		}
-	}
-	ch := make(chan ProgressEvent, len(replay)+progressChanSlack)
-	for _, ev := range replay {
-		ch <- ev
-	}
-	if p.closed {
-		close(ch)
-		return ch, p.seq, func() {}
-	}
-	p.subs[ch] = true
-	cancel := func() {
-		p.mu.Lock()
-		if p.subs[ch] {
-			delete(p.subs, ch)
-			close(ch)
-		}
-		p.mu.Unlock()
-	}
-	return ch, p.seq, cancel
-}
-
-// close ends the live stream: every subscriber's channel closes. The
-// ring is retained, so late subscribers still replay the history.
-func (p *progressLog) close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	p.closed = true
-	for ch := range p.subs {
-		delete(p.subs, ch)
-		close(ch)
-	}
-}
+// stampProgress writes the number the job's log assigns into the event.
+func stampProgress(ev *ProgressEvent, seq uint64) { ev.Seq = seq }
 
 // publisherKey carries a job's publish function through the runner's
 // context.

@@ -137,7 +137,8 @@ type Server struct {
 	wg        sync.WaitGroup
 	m         metrics
 	recovered Recovery          // what New rebuilt from the store
-	phases    *obs.HistogramSet // per-phase job latency, from the job traces
+	phases    *obs.HistogramVec // per-phase job latency, from the job traces
+	reg       *obs.Registry     // the /metrics families
 }
 
 // sessionDurable tracks one durable session's WAL depth and serialises
@@ -168,10 +169,11 @@ func New(cfg Config) *Server {
 		queue:    make(chan *Job, cfg.QueueDepth),
 		sessions: session.NewManager(cfg.SessionTTL, cfg.SessionCap),
 		durables: make(map[string]*sessionDurable),
-		phases: obs.NewHistogramSet("emiserve_phase_seconds",
+		phases: obs.NewHistogramVec("emiserve_phase_seconds",
 			"Wall time per pipeline phase, aggregated from the job traces.",
-			"phase", obs.LatencySeconds),
+			[]string{"phase"}, obs.LatencySeconds),
 	}
+	s.reg = s.newRegistry()
 	if cfg.Store != nil {
 		s.recover()
 		s.sessions.SetEvictHook(func(id string) {
@@ -243,7 +245,7 @@ func (s *Server) recover() {
 				j.errMsg = "not requeued after restart: queue full"
 				j.finished = now
 				close(j.done)
-				j.progress.close()
+				j.progress.Close()
 				s.jobs[j.ID] = j
 				s.finished = append(s.finished, finishedRef{id: j.ID, at: now})
 				s.recovered.LostJobs++
@@ -264,7 +266,7 @@ func (s *Server) recover() {
 			j.errMsg = r.Error
 			j.finished = r.Done
 			close(j.done)
-			j.progress.close()
+			j.progress.Close()
 			s.jobs[j.ID] = j
 			s.finished = append(s.finished, finishedRef{id: j.ID, at: r.Done})
 			if r.State == store.JobDone && len(r.Req) > 0 {
@@ -429,7 +431,7 @@ func (s *Server) submit(kind Kind, body []byte, pin bool, tid obs.TraceID) (*Job
 		j.result = res
 		j.finished = now
 		close(j.done)
-		j.progress.close()
+		j.progress.Close()
 		s.jobs[j.ID] = j
 		s.finished = append(s.finished, finishedRef{id: j.ID, at: now})
 		s.m.finishedDone.Add(1)
@@ -553,21 +555,26 @@ func (s *Server) cancelJob(j *Job, reason string, requeue bool) bool {
 		j.requeue = requeue
 		j.errMsg = reason
 		j.finished = s.now()
-		close(j.done)
-		j.progress.close()
 		j.mu.Unlock()
-		s.finishJob(j, StateCancelled)
+		// Journal first, then publish: Wait, ?wait=1 and the SSE done
+		// frame must never report a finish a restart would undo.
 		s.persistJobFinal(j, StateCancelled)
+		close(j.done)
+		j.progress.Close()
+		s.finishJob(j, StateCancelled)
 		return true
 	case StateRunning:
+		if j.cancel == nil {
+			// The runner already returned; run is journaling its result.
+			j.mu.Unlock()
+			return false
+		}
 		j.canceled = true
 		j.requeue = requeue
 		j.errMsg = reason
 		cancel := j.cancel
 		j.mu.Unlock()
-		if cancel != nil {
-			cancel() // the worker finishes the bookkeeping
-		}
+		cancel() // the worker finishes the bookkeeping
 		return true
 	default:
 		j.mu.Unlock()
@@ -607,7 +614,8 @@ func (s *Server) run(j *Job) {
 	// Intermediate results the runner publishes stream to the job's event
 	// subscribers (see progress.go).
 	ctx = withPublisher(ctx, func(stage string, v any) {
-		if j.progress.publish(stage, v, s.now()) {
+		data, err := json.Marshal(v)
+		if err == nil && j.progress.Publish(ProgressEvent{Stage: stage, Data: data, At: s.now()}) {
 			s.m.progressEvents.Add(1)
 		}
 	})
@@ -625,7 +633,7 @@ func (s *Server) run(j *Job) {
 		tr.Finish()
 		timings = tr.Timings()
 		for _, t := range timings {
-			s.phases.Observe(t.Phase, t.TotalSeconds())
+			s.phases.Observe(t.TotalSeconds(), t.Phase)
 		}
 	}
 	s.cfg.Logger.Info("job finished",
@@ -659,14 +667,19 @@ func (s *Server) run(j *Job) {
 			j.result = raw
 		}
 	}
-	j.state = final
 	result := j.result
-	close(j.done)
-	j.progress.close()
 	j.mu.Unlock()
 
-	s.finishJob(j, final)
+	// Journal first, then publish (see cancelJob). Until the state flips
+	// the job still reads as running, and with j.cancel nil a late Cancel
+	// reports it finished instead of overriding the outcome.
 	s.persistJobFinal(j, final)
+	j.mu.Lock()
+	j.state = final
+	close(j.done)
+	j.mu.Unlock()
+	j.progress.Close()
+	s.finishJob(j, final)
 	if final == StateDone {
 		s.mu.Lock()
 		s.store.put(j.Key, j.ID, result, s.now())

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/layout"
+	"repro/internal/obs"
 	"repro/internal/place"
 	"repro/internal/session"
 	"repro/internal/workload"
@@ -28,7 +28,7 @@ import (
 //	POST   /v1/sessions/{id}/edits    apply one edit, returns the delta
 //	POST   /v1/sessions/{id}/undo     revert the latest edit
 //	POST   /v1/sessions/{id}/redo     re-apply the latest undone edit
-//	GET    /v1/sessions/{id}/events   SSE delta stream (Last-Event-ID replay)
+//	GET    /v1/sessions/{id}/events   SSE delta stream (resumable by seq)
 //	GET    /v1/sessions/{id}/snapshot current design, ASCII layout format
 
 // SyntheticSpec describes a workload.Synthetic design.
@@ -297,8 +297,8 @@ func (s *Server) editSessionHandler(w http.ResponseWriter, r *http.Request) {
 // recheck the session timed for us.
 func (s *Server) observeEdit(dur time.Duration, delta *session.Delta) {
 	s.m.sessionEdits.Add(1)
-	s.phases.Observe("session.edit", dur.Seconds())
-	s.phases.Observe("drc.recheck", delta.RecheckDur.Seconds())
+	s.phases.Observe(dur.Seconds(), "session.edit")
+	s.phases.Observe(delta.RecheckDur.Seconds(), "drc.recheck")
 }
 
 // toEdit converts the millimeter/degree wire form into the SI edit.
@@ -394,7 +394,7 @@ func (s *Server) snapshotSessionHandler(w http.ResponseWriter, r *http.Request) 
 
 // sessionEventsHandler streams deltas as server-sent events. Each delta is
 // one "delta" event whose id is the session sequence number; a client
-// reconnecting with Last-Event-ID (or ?after=N) replays what the bounded
+// reconnecting with its last id (see obs.NewSSE) replays what the bounded
 // ring still holds. The stream opens with a "hello" event carrying the
 // current state. The channel closes — ending the stream — when the
 // session is deleted, the server drains, or the client falls too far
@@ -404,50 +404,20 @@ func (s *Server) sessionEventsHandler(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	sse, after, ok := obs.NewSSE(w, r)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
-	}
-	var after uint64
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		after, _ = strconv.ParseUint(v, 10, 64)
-	} else if v := r.URL.Query().Get("after"); v != "" {
-		after, _ = strconv.ParseUint(v, 10, 64)
 	}
 	ch, cancel := sess.Subscribe(after)
 	defer cancel()
 	s.m.sseClients.Add(1)
 	defer s.m.sseClients.Add(-1)
 
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
+	sse.Start()
 	st := sess.State()
-	writeSSE(w, "hello", st.Seq, st)
-	fl.Flush()
-	for {
-		select {
-		case d, open := <-ch:
-			if !open {
-				return
-			}
-			writeSSE(w, "delta", d.Seq, d)
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func writeSSE(w io.Writer, event string, id uint64, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", event, id, data)
+	sse.Event("hello", st.Seq, st)
+	obs.Follow(r.Context(), ch, func(d session.Delta) { sse.Event("delta", d.Seq, d) })
 }
 
 // Jobs returns views of the retained jobs, sorted by ID (submission

@@ -163,23 +163,30 @@ type Session struct {
 	redo    []applied
 	persist JournalFunc // nil: no durability
 
-	subs    map[int]*subscriber
-	nextSub int
-	ring    []Delta
-	closed  bool
-	sealed  bool
+	// events is the delta stream: every applied delta, replayable by its
+	// seq. Closing it closes the session.
+	events *obs.Log[Delta]
+	sealed bool
 }
+
+// ringCap bounds the delta replay ring; reconnecting clients can resume
+// from at most this many deltas back.
+const ringCap = 256
+
+// subChanCap is each subscriber's live buffer; a consumer this far
+// behind a burst of edits is dropped and must reconnect.
+const subChanCap = 64
 
 // New creates a session owning a deep copy of the design.
 func New(id string, d *layout.Design) *Session {
 	own := d.Clone()
 	idx := drc.NewIndex(own)
 	return &Session{
-		ID:   id,
-		d:    own,
-		idx:  idx,
-		inc:  drc.NewIncremental(idx),
-		subs: map[int]*subscriber{},
+		ID:     id,
+		d:      own,
+		idx:    idx,
+		inc:    drc.NewIncremental(idx),
+		events: obs.NewLog[Delta](ringCap, subChanCap, nil),
 	}
 }
 
@@ -363,7 +370,7 @@ func (s *Session) ApplyCtx(ctx context.Context, e Edit) (*Delta, error) {
 	defer sp.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.events.Closed() {
 		return nil, fmt.Errorf("session: %s is closed", s.ID)
 	}
 	if s.sealed {
@@ -398,7 +405,7 @@ func (s *Session) UndoCtx(ctx context.Context) (*Delta, error) {
 	defer sp.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.events.Closed() {
 		return nil, fmt.Errorf("session: %s is closed", s.ID)
 	}
 	if s.sealed {
@@ -432,7 +439,7 @@ func (s *Session) RedoCtx(ctx context.Context) (*Delta, error) {
 	defer sp.End()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.events.Closed() {
 		return nil, fmt.Errorf("session: %s is closed", s.ID)
 	}
 	if s.sealed {
@@ -573,7 +580,7 @@ func scopeOf(e Edit) drc.Scope {
 
 // settle runs the incremental recheck and coupling update for an edit
 // whose design mutation already happened, assembles the delta, journals
-// it in the replay ring and broadcasts it. The caller holds the lock.
+// it in the replay ring and fans it out. The caller holds the lock.
 func (s *Session) settle(ctx context.Context, op string, e Edit) (*Delta, error) {
 	_, rsp := obs.Start(ctx, "drc.recheck")
 	t0 := time.Now()
@@ -612,8 +619,26 @@ func (s *Session) settle(ctx context.Context, op string, e Edit) (*Delta, error)
 			out.Couplings = changes
 		}
 	}
-	s.broadcast(*out)
+	s.events.PublishSeq(out.Seq, *out)
 	return out, nil
+}
+
+// Subscribe registers for deltas with Seq > afterSeq. Deltas still in the
+// replay ring are delivered first. The returned cancel function must be
+// called when done; the channel is closed on cancel, session close, or
+// when the subscriber falls too far behind (it reconnects with its last
+// seq to resume).
+func (s *Session) Subscribe(afterSeq uint64) (<-chan Delta, func()) {
+	return s.events.Subscribe(afterSeq)
+}
+
+// Close terminates the session: all subscriber channels are closed and
+// further edits are rejected. An edit in flight finishes and publishes
+// its delta first.
+func (s *Session) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.events.Close()
 }
 
 func toWire(vs []drc.Violation) []Violation {
