@@ -314,7 +314,7 @@ func BenchmarkSensitivityRank(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sensitivity.Rank(ckt, p.Sources[0], p.MeasureNode,
+		if _, err := sensitivity.RankCtx(context.Background(), ckt, p.Sources[0], p.MeasureNode,
 			sensitivity.Options{MaxFreq: 30e6}); err != nil {
 			b.Fatal(err)
 		}
@@ -342,13 +342,15 @@ func BenchmarkCouplingCacheHit(b *testing.B) {
 // BenchmarkMNASolve measures one AC solve of the buck EMI circuit.
 func BenchmarkMNASolve(b *testing.B) {
 	p := buck.Project()
-	an, err := mna.NewAnalyzer(p.Circuit)
+	an, err := mna.NewAnalyzer(p.Circuit, linalg.ModeAuto)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var w mna.Workspace
+	src := an.Excitation(1e6)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := an.Solve(1e6); err != nil {
+		if _, err := an.Solve(&w, 1e6, src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -369,14 +371,15 @@ func benchmarkMNALadder(b *testing.B, mode linalg.SolverMode) {
 		prev = node
 	}
 	c.AddR("RL", prev, "0", 4)
-	an, err := mna.NewAnalyzer(c)
+	an, err := mna.NewAnalyzer(c, mode)
 	if err != nil {
 		b.Fatal(err)
 	}
-	an.SetSolver(mode)
+	var w mna.Workspace
+	src := an.Excitation(1e5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := an.Solve(1e5 * float64(i%20+1)); err != nil {
+		if _, err := an.Solve(&w, 1e5*float64(i%20+1), src); err != nil {
 			b.Fatal(err)
 		}
 	}

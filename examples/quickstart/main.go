@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -59,7 +60,7 @@ func main() {
 		}
 		s, err := (&emi.Predictor{
 			Circuit: c, Sources: []string{"Vsw"}, MeasureNode: meas, MaxFreq: 108e6,
-		}).Spectrum()
+		}).SpectrumCtx(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package buck
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func predictCM(t *testing.T, yCapK float64, mutate func(find func(string) float6
 		Circuit:     p.Circuit,
 		Sources:     p.Sources,
 		MeasureNode: p.MeasureNode,
-	}).Spectrum()
+	}).SpectrumCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

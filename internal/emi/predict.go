@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"repro/internal/engine"
 	"repro/internal/linalg"
@@ -37,58 +38,52 @@ type Predictor struct {
 	MaxFreq     float64 // 0 = BandStop
 
 	// Solver overrides the MNA factorization backend for this prediction
-	// only (ModeAuto, the zero value, defers to the process default). It
-	// applies to every analyzer the fan-out compiles, so a per-request
-	// choice never races another job's.
+	// only (ModeAuto, the zero value, defers to the process default), so a
+	// per-request choice never races another job's.
 	Solver linalg.SolverMode
 }
 
-// Spectrum runs the prediction. The circuit is not modified.
-func (p *Predictor) Spectrum() (*Spectrum, error) {
-	return p.SpectrumCtx(context.Background())
-}
-
-// BandSolver evaluates emission spectra repeatedly over one circuit: it
-// clones the circuit once, compiles one analyzer, and reuses both (plus
-// the analyzer's assembly and factorization buffers) across harmonics and
-// across whole predictions. It is the serial core of Predictor's fan-out
-// and the per-worker engine of the sensitivity ranking, which re-predicts
-// the band once per probed inductor pair. Not safe for concurrent use;
-// create one per goroutine.
-type BandSolver struct {
+// Band is one design's compiled harmonic sweep: the MNA analyzer, the
+// harmonic grid of the sources' shared switching frequency and the table
+// of source phasors per harmonic, all computed once. Solving a harmonic
+// only reads the Band and writes the caller's workspace, so any number of
+// workers may sweep one Band concurrently, each with its own
+// mna.Workspace. The sensitivity probe (Analyzer().SetProbeCoupling) is
+// the one mutation; it needs a Band that a single worker owns.
+type Band struct {
 	an      *mna.Analyzer
-	srcs    []*netlist.Element
 	ks      []int
 	f1      float64
+	src     [][]complex128 // per harmonic, phasors in an.Sources() order
 	measure string
 }
 
-// NewBandSolver prepares a solver over its own clone of the circuit. The
+// NewBand compiles the sweep of a circuit without modifying it. The
 // harmonic grid covers multiples of the sources' shared switching
 // frequency up to maxFreq (0 = the CISPR band stop); harmonics > 0 caps
-// the harmonic count.
-func NewBandSolver(ckt *netlist.Circuit, sources []string, measure string, harmonics int, maxFreq float64) (*BandSolver, error) {
+// the harmonic count. mode selects the factorization backend (ModeAuto
+// defers to the process default).
+func NewBand(ckt *netlist.Circuit, sources []string, measure string, harmonics int, maxFreq float64, mode linalg.SolverMode) (*Band, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("emi: no switching source given")
 	}
-	wc := ckt.Clone()
-	b := &BandSolver{measure: measure}
+	var pulses []*netlist.Pulse
 	for _, name := range sources {
-		e := wc.Find(name)
+		e := ckt.Find(name)
 		if e == nil || (e.Kind != netlist.V && e.Kind != netlist.I) ||
 			e.Src == nil || e.Src.Pulse == nil || e.Src.Pulse.Period <= 0 {
 			return nil, fmt.Errorf("emi: %q is not a periodic PULSE source", name)
 		}
-		b.srcs = append(b.srcs, e)
+		pulses = append(pulses, e.Src.Pulse)
 	}
-	period := b.srcs[0].Src.Pulse.Period
-	for _, e := range b.srcs[1:] {
-		if e.Src.Pulse.Period != period {
+	period := pulses[0].Period
+	for i, p := range pulses[1:] {
+		if p.Period != period {
 			return nil, fmt.Errorf("emi: source %q period %g differs from %g",
-				e.Name, e.Src.Pulse.Period, period)
+				sources[i+1], p.Period, period)
 		}
 	}
-	b.f1 = 1 / period
+	b := &Band{f1: 1 / period, measure: measure}
 	maxF := maxFreq
 	if maxF <= 0 {
 		maxF = BandStop
@@ -109,23 +104,35 @@ func NewBandSolver(ckt *netlist.Circuit, sources []string, measure string, harmo
 	if len(b.ks) == 0 {
 		return nil, fmt.Errorf("emi: no harmonics below %g Hz", maxF)
 	}
-	an, err := mna.NewAnalyzer(wc)
+	an, err := mna.NewAnalyzer(ckt, mode)
 	if err != nil {
 		return nil, err
 	}
 	b.an = an
+	// Each switching source drives its harmonic's RMS phasor; every other
+	// source keeps its own AC excitation.
+	slot := make([]int, len(sources))
+	for i, name := range sources {
+		slot[i] = slices.Index(an.Sources(), name)
+	}
+	b.src = make([][]complex128, len(b.ks))
+	for i, k := range b.ks {
+		row := an.Excitation(float64(k) * b.f1)
+		for j, p := range pulses {
+			ck := TrapezoidHarmonic(p, k)
+			row[slot[j]] = cmplx.Rect(math.Sqrt2*cmplx.Abs(ck), cmplx.Phase(ck))
+		}
+		b.src[i] = row
+	}
 	return b, nil
 }
 
-// Analyzer exposes the compiled analyzer, e.g. for probe couplings.
-func (b *BandSolver) Analyzer() *mna.Analyzer { return b.an }
-
-// SetSolver overrides the factorization backend of the compiled analyzer
-// (see mna.Analyzer.SetSolver). ModeAuto restores the default heuristic.
-func (b *BandSolver) SetSolver(m linalg.SolverMode) { b.an.SetSolver(m) }
+// Analyzer exposes the compiled analyzer, e.g. for probe couplings and
+// element-value binding.
+func (b *Band) Analyzer() *mna.Analyzer { return b.an }
 
 // Freqs returns the harmonic grid frequencies, ascending.
-func (b *BandSolver) Freqs() []float64 {
+func (b *Band) Freqs() []float64 {
 	out := make([]float64, len(b.ks))
 	for i, k := range b.ks {
 		out[i] = float64(k) * b.f1
@@ -133,29 +140,23 @@ func (b *BandSolver) Freqs() []float64 {
 	return out
 }
 
-// SolveHarmonic solves grid point i and returns the measure-node level in
-// dBµV. The sources are driven coherently by their own Fourier
-// coefficients — the harmonic's RMS phasors — and the solve superposes
-// them.
-func (b *BandSolver) SolveHarmonic(i int) (float64, error) {
+// Solve solves grid point i in the workspace w and returns the
+// measure-node level in dBµV. The sources are driven coherently by their
+// own Fourier coefficients and the solve superposes them; the element
+// values are those bound to w (see mna.Analyzer.Bind).
+func (b *Band) Solve(w *mna.Workspace, i int) (float64, error) {
 	k := b.ks[i]
-	f := float64(k) * b.f1
-	for _, e := range b.srcs {
-		ck := TrapezoidHarmonic(e.Src.Pulse, k)
-		e.Src.ACMag = math.Sqrt2 * cmplx.Abs(ck)
-		e.Src.ACPhase = cmplx.Phase(ck)
-	}
-	sol, err := b.an.Solve(f)
+	sol, err := b.an.Solve(w, float64(k)*b.f1, b.src[i])
 	if err != nil {
 		return 0, fmt.Errorf("emi: harmonic %d: %w", k, err)
 	}
 	return DBuV(cmplx.Abs(sol.NodeVoltage(b.measure))), nil
 }
 
-// SpectrumCtx computes the whole band serially, checking ctx between
+// SpectrumCtx computes the whole band serially in w, checking ctx between
 // harmonics. Callers running many predictions fan out at a higher level
-// (one BandSolver per worker) rather than per harmonic.
-func (b *BandSolver) SpectrumCtx(ctx context.Context) (*Spectrum, error) {
+// (one workspace per worker) rather than per harmonic.
+func (b *Band) SpectrumCtx(ctx context.Context, w *mna.Workspace) (*Spectrum, error) {
 	_, sp := obs.Start(ctx, "emi.band")
 	sp.Int("harmonics", int64(len(b.ks)))
 	defer sp.End()
@@ -167,7 +168,7 @@ func (b *BandSolver) SpectrumCtx(ctx context.Context) (*Spectrum, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		db, err := b.SolveHarmonic(i)
+		db, err := b.Solve(w, i)
 		if err != nil {
 			return nil, err
 		}
@@ -176,40 +177,26 @@ func (b *BandSolver) SpectrumCtx(ctx context.Context) (*Spectrum, error) {
 	return out, nil
 }
 
-// SpectrumCtx is Spectrum with cancellation: once ctx is done no further
-// harmonic solves start and the context's error is returned.
+// SpectrumCtx runs the prediction without modifying the circuit: one
+// compiled Band whose harmonics fan out over the engine pool, one
+// workspace per worker. Each harmonic writes only its own slot, so the
+// spectrum is identical under any parallelism. Once ctx is done no
+// further harmonic solves start and the context's error is returned.
 func (p *Predictor) SpectrumCtx(ctx context.Context) (*Spectrum, error) {
-	// Validate and size the grid once; the workers compile their own
-	// solvers from the same inputs.
-	proto, err := NewBandSolver(p.Circuit, p.Sources, p.MeasureNode, p.Harmonics, p.MaxFreq)
+	band, err := NewBand(p.Circuit, p.Sources, p.MeasureNode, p.Harmonics, p.MaxFreq, p.Solver)
 	if err != nil {
 		return nil, err
 	}
-	proto.SetSolver(p.Solver)
-	ks := proto.ks
-
-	// The harmonics are independent AC solves: fan them out over the
-	// shared engine pool. Each worker gets its own BandSolver (clone +
-	// compiled analyzer) because the source phasors are set per harmonic;
-	// each harmonic writes only its own slot, so the spectrum is
-	// identical under any parallelism.
 	defer engine.Phase("emi.harmonics")()
 	ctx, sp := obs.Start(ctx, "emi.spectrum")
-	sp.Int("harmonics", int64(len(ks)))
+	sp.Int("harmonics", int64(len(band.ks)))
 	sp.Int("sources", int64(len(p.Sources)))
 	defer sp.End()
-	dbs := make([]float64, len(ks))
-	err = engine.ForEachStateCtx(ctx, len(ks),
-		func() (*BandSolver, error) {
-			bs, err := NewBandSolver(p.Circuit, p.Sources, p.MeasureNode, p.Harmonics, p.MaxFreq)
-			if err != nil {
-				return nil, err
-			}
-			bs.SetSolver(p.Solver)
-			return bs, nil
-		},
-		func(s *BandSolver, i int) error {
-			db, err := s.SolveHarmonic(i)
+	dbs := make([]float64, len(band.ks))
+	err = engine.ForEachStateCtx(ctx, len(dbs),
+		func() (*mna.Workspace, error) { return &mna.Workspace{}, nil },
+		func(w *mna.Workspace, i int) error {
+			db, err := band.Solve(w, i)
 			if err != nil {
 				return err
 			}
@@ -219,7 +206,7 @@ func (p *Predictor) SpectrumCtx(ctx context.Context) (*Spectrum, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Spectrum{Freqs: proto.Freqs(), DB: dbs}, nil
+	return &Spectrum{Freqs: band.Freqs(), DB: dbs}, nil
 }
 
 // InBand returns the sub-spectrum within [lo, hi].

@@ -6,6 +6,7 @@
 package engine_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -93,7 +94,7 @@ func TestRankDeterministicAcrossParallelism(t *testing.T) {
 	rank := func(k int) sensitivity.Ranking {
 		var out sensitivity.Ranking
 		run(t, k, func() {
-			r, err := sensitivity.Rank(filterCircuit(), "Vsw", "lisn_meas", sensitivity.Options{
+			r, err := sensitivity.RankCtx(context.Background(), filterCircuit(), "Vsw", "lisn_meas", sensitivity.Options{
 				ProbeK:     0.01,
 				MaxFreq:    20e6,
 				Candidates: []string{"Lc1", "Lc2", "Lloop"},
@@ -203,7 +204,7 @@ func TestRankStressConcurrent(t *testing.T) {
 	defer engine.SetMaxParallelism(old)
 	engine.ResetCache()
 
-	want, err := sensitivity.Rank(filterCircuit(), "Vsw", "lisn_meas", opt)
+	want, err := sensitivity.RankCtx(context.Background(), filterCircuit(), "Vsw", "lisn_meas", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestRankStressConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ranks[g], errs[g] = sensitivity.Rank(filterCircuit(), "Vsw", "lisn_meas", opt)
+			ranks[g], errs[g] = sensitivity.RankCtx(context.Background(), filterCircuit(), "Vsw", "lisn_meas", opt)
 		}(g)
 	}
 	wg.Wait()

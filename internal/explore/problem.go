@@ -11,6 +11,7 @@ import (
 	"repro/internal/emi"
 	"repro/internal/geom"
 	"repro/internal/layout"
+	"repro/internal/mna"
 	"repro/internal/netlist"
 	"repro/internal/place"
 )
@@ -245,8 +246,8 @@ func (p *DesignProblem) Evaluate(ctx context.Context, genes []float64) ([]float6
 
 // worstMargin runs the coupled EMI prediction of the candidate: couplings
 // extracted from its placement, sweep multipliers applied to the circuit,
-// one BandSolver compiled and reused serially across the harmonics —
-// the parallelism lives across candidates, not inside one.
+// one Band compiled (the couplings differ per candidate) and swept
+// serially — the parallelism lives across candidates, not inside one.
 func (p *DesignProblem) worstMargin(ctx context.Context, d *layout.Design, mults []float64) (float64, error) {
 	proj := *p.Project
 	proj.Design = d
@@ -262,12 +263,11 @@ func (p *DesignProblem) worstMargin(ctx context.Context, d *layout.Design, mults
 		return 0, err
 	}
 	ckt := proj.CircuitWithCouplings(ks)
-	bs, err := emi.NewBandSolver(ckt, proj.Sources, proj.MeasureNode, 0, p.MaxFreq)
+	band, err := emi.NewBand(ckt, proj.Sources, proj.MeasureNode, 0, p.MaxFreq, proj.Solver)
 	if err != nil {
 		return 0, err
 	}
-	bs.SetSolver(proj.Solver)
-	spec, err := bs.SpectrumCtx(ctx)
+	spec, err := band.SpectrumCtx(ctx, &mna.Workspace{})
 	if err != nil {
 		return 0, err
 	}

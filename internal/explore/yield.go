@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/emi"
 	"repro/internal/engine"
+	"repro/internal/mna"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 )
@@ -84,29 +85,27 @@ func (y *YieldCurve) Percentile(q float64) float64 {
 
 // perturbation is one circuit element the Monte Carlo jitters.
 type perturbation struct {
-	idx      int     // index into the base circuit's element slice
+	idx      int     // index into the base circuit's elements and values
 	tol      float64 // relative uniform tolerance
 	coupling bool    // K element: clamp to [-1, 1] after jitter
 }
 
-// Yield runs the Monte Carlo tolerance analysis of a project's coupled
-// EMI prediction: couplings are extracted once from the placement, then
-// opt.Samples builds are drawn by perturbing every perturbable element
-// uniformly within its tolerance band and predicting the spectrum. The
-// random multipliers are drawn serially from one seeded rand.Rand before
-// any evaluation starts, so the curve is bit-reproducible for a fixed
-// seed regardless of worker scheduling; the builds themselves fan out
-// over the engine pool in batches, and emit (optional) receives a running
-// estimate after every batch.
-func Yield(ctx context.Context, proj *core.Project, opt YieldOptions, emit func(YieldEstimate)) (*YieldCurve, error) {
-	n := opt.Samples
-	if n <= 0 {
-		n = 200
-	}
-	batch := opt.Batch
-	if batch <= 0 {
-		batch = 32
-	}
+// yieldPlan is one Monte Carlo run's compiled state: the coupled base
+// circuit's band, its nominal element values, the perturbation set and
+// every build's pre-drawn value multipliers.
+type yieldPlan struct {
+	band     *emi.Band
+	nominal  []float64
+	perturbs []perturbation
+	mults    [][]float64
+}
+
+// newYieldPlan validates the tolerance overrides, extracts the couplings
+// once from the placement, compiles the coupled circuit's band and draws
+// the multipliers of n builds. The random multipliers are drawn serially
+// from one seeded rand.Rand, so they depend only on the seed and the
+// perturbation set.
+func newYieldPlan(ctx context.Context, proj *core.Project, opt YieldOptions, n int) (*yieldPlan, error) {
 	defTol := opt.DefaultTol
 	if defTol == 0 {
 		defTol = 0.10
@@ -121,11 +120,6 @@ func Yield(ctx context.Context, proj *core.Project, opt YieldOptions, emit func(
 			return strings.Contains(strings.ToLower(name), "lisn")
 		}
 	}
-	start := time.Now()
-	ctx, sp := obs.Start(ctx, "explore.yield")
-	sp.Int("samples", int64(n))
-	defer sp.End()
-
 	for name, tol := range opt.TolOf {
 		if proj.Circuit.Find(name) == nil {
 			return nil, fmt.Errorf("explore: tolerance for unknown element %q", name)
@@ -142,7 +136,7 @@ func Yield(ctx context.Context, proj *core.Project, opt YieldOptions, emit func(
 	base := proj.CircuitWithCouplings(ks)
 
 	// The perturbation set, in circuit element order.
-	var perturbs []perturbation
+	p := &yieldPlan{}
 	for i, e := range base.Elements {
 		switch e.Kind {
 		case netlist.R, netlist.L, netlist.C:
@@ -156,32 +150,84 @@ func Yield(ctx context.Context, proj *core.Project, opt YieldOptions, emit func(
 			if tol <= 0 {
 				continue
 			}
-			perturbs = append(perturbs, perturbation{idx: i, tol: tol})
+			p.perturbs = append(p.perturbs, perturbation{idx: i, tol: tol})
 		case netlist.K:
 			if kTol > 0 {
-				perturbs = append(perturbs, perturbation{idx: i, tol: kTol, coupling: true})
+				p.perturbs = append(p.perturbs, perturbation{idx: i, tol: kTol, coupling: true})
 			}
 		}
 	}
 
-	// Draw every build's multipliers up front, serially: the stream of
-	// random numbers depends only on the seed and the perturbation set.
 	rng := rand.New(rand.NewSource(opt.Seed))
-	mults := make([][]float64, n)
-	for s := range mults {
-		row := make([]float64, len(perturbs))
-		for j, pb := range perturbs {
+	p.mults = make([][]float64, n)
+	for s := range p.mults {
+		row := make([]float64, len(p.perturbs))
+		for j, pb := range p.perturbs {
 			row[j] = 1 + pb.tol*(2*rng.Float64()-1)
 		}
-		mults[s] = row
+		p.mults[s] = row
 	}
 
-	// The harmonic grid is placement- and perturbation-invariant.
-	proto, err := emi.NewBandSolver(base, proj.Sources, proj.MeasureNode, 0, opt.MaxFreq)
+	// One compiled band serves every build: only the values change.
+	p.band, err = emi.NewBand(base, proj.Sources, proj.MeasureNode, 0, opt.MaxFreq, proj.Solver)
 	if err != nil {
 		return nil, err
 	}
-	freqs := proto.Freqs()
+	p.nominal = p.band.Analyzer().Values()
+	return p, nil
+}
+
+// sampleWorker is one yield worker's state: the perturbed value vector and
+// the workspace the values are bound into.
+type sampleWorker struct {
+	vals []float64
+	w    mna.Workspace
+}
+
+// sample predicts build s: each perturbed value is its nominal value
+// times the build's multiplier (coupling factors clamped to [-1, 1]),
+// bound into the worker's workspace.
+func (p *yieldPlan) sample(ctx context.Context, sw *sampleWorker, s int) (*emi.Spectrum, error) {
+	sw.vals = append(sw.vals[:0], p.nominal...)
+	for j, pb := range p.perturbs {
+		v := sw.vals[pb.idx] * p.mults[s][j]
+		if pb.coupling {
+			v = min(max(v, -1), 1)
+		}
+		sw.vals[pb.idx] = v
+	}
+	p.band.Analyzer().Bind(&sw.w, sw.vals)
+	return p.band.SpectrumCtx(ctx, &sw.w)
+}
+
+// Yield runs the Monte Carlo tolerance analysis of a project's coupled
+// EMI prediction: couplings are extracted and the coupled circuit's band
+// compiled once, then opt.Samples builds are drawn by perturbing every
+// perturbable element value uniformly within its tolerance band and
+// predicting the spectrum. The multipliers are drawn before any
+// evaluation starts, so the curve is bit-reproducible for a fixed seed
+// regardless of worker scheduling; the builds themselves fan out over the
+// engine pool in batches, and emit (optional) receives a running estimate
+// after every batch.
+func Yield(ctx context.Context, proj *core.Project, opt YieldOptions, emit func(YieldEstimate)) (*YieldCurve, error) {
+	n := opt.Samples
+	if n <= 0 {
+		n = 200
+	}
+	batch := opt.Batch
+	if batch <= 0 {
+		batch = 32
+	}
+	start := time.Now()
+	ctx, sp := obs.Start(ctx, "explore.yield")
+	sp.Int("samples", int64(n))
+	defer sp.End()
+
+	plan, err := newYieldPlan(ctx, proj, opt, n)
+	if err != nil {
+		return nil, err
+	}
+	freqs := plan.band.Freqs()
 	inBand := make([]bool, len(freqs))
 	nInBand := 0
 	for i, f := range freqs {
@@ -198,7 +244,7 @@ func Yield(ctx context.Context, proj *core.Project, opt YieldOptions, emit func(
 		Samples:   n,
 		Freqs:     freqs,
 		InBand:    inBand,
-		Perturbed: len(perturbs),
+		Perturbed: len(plan.perturbs),
 	}
 	binPass := make([]int, len(freqs))
 
@@ -214,37 +260,22 @@ func Yield(ctx context.Context, proj *core.Project, opt YieldOptions, emit func(
 		_, bsp := obs.Start(ctx, "explore.yield.batch")
 		bsp.Int("size", int64(size))
 		done := engine.Phase("explore.yield.batch")
-		results, err := engine.MapCtx(ctx, size, func(i int) (sampleOut, error) {
-			ckt := base.Clone()
-			for j, pb := range perturbs {
-				e := ckt.Elements[pb.idx]
-				if pb.coupling {
-					e.Coup *= mults[off+i][j]
-					if e.Coup > 1 {
-						e.Coup = 1
-					} else if e.Coup < -1 {
-						e.Coup = -1
-					}
-				} else {
-					e.Value *= mults[off+i][j]
+		results := make([]sampleOut, size)
+		err := engine.ForEachStateCtx(ctx, size,
+			func() (*sampleWorker, error) { return &sampleWorker{}, nil },
+			func(sw *sampleWorker, i int) error {
+				spec, err := plan.sample(ctx, sw, off+i)
+				if err != nil {
+					return err
 				}
-			}
-			bs, err := emi.NewBandSolver(ckt, proj.Sources, proj.MeasureNode, 0, opt.MaxFreq)
-			if err != nil {
-				return sampleOut{}, err
-			}
-			bs.SetSolver(proj.Solver)
-			spec, err := bs.SpectrumCtx(ctx)
-			if err != nil {
-				return sampleOut{}, err
-			}
-			so := sampleOut{pass: make([]bool, len(spec.Freqs)), margin: spec.WorstMargin()}
-			for k, f := range spec.Freqs {
-				limit, in := emi.Limit(f)
-				so.pass[k] = !in || spec.DB[k] <= limit
-			}
-			return so, nil
-		})
+				so := sampleOut{pass: make([]bool, len(spec.Freqs)), margin: spec.WorstMargin()}
+				for k, f := range spec.Freqs {
+					limit, in := emi.Limit(f)
+					so.pass[k] = !in || spec.DB[k] <= limit
+				}
+				results[i] = so
+				return nil
+			})
 		done()
 		bsp.End()
 		if err != nil {

@@ -13,6 +13,7 @@
 package inverter
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/components"
@@ -98,7 +99,7 @@ func Predict(opt Options, maxFreq float64) (*emi.Spectrum, error) {
 		Sources:     []string{"Vlega", "Vlegb", "Vlegc"},
 		MeasureNode: meas,
 		MaxFreq:     maxFreq,
-	}).Spectrum()
+	}).SpectrumCtx(context.Background())
 }
 
 // HarmonicLevel returns the level of harmonic k in dBµV.

@@ -12,11 +12,11 @@ import (
 	"repro/internal/netlist"
 )
 
-// naiveSolveAt replicates the pre-plan direct netlist walk: assemble a
-// fresh dense matrix at frequency f and solve it. It is the reference the
-// compiled stamp plans must reproduce.
-func naiveSolveAt(a *Analyzer, f float64) ([]complex128, error) {
-	nn := len(a.nodes)
+// naiveSolveAt replicates the pre-plan direct walk of the circuit c that a
+// was compiled from: assemble a fresh dense matrix at frequency f and
+// solve it. It is the reference the compiled stamp plans must reproduce.
+func naiveSolveAt(a *Analyzer, c *netlist.Circuit, f float64) ([]complex128, error) {
+	nn := a.nn
 	omega := 2 * math.Pi * f
 	m := linalg.NewComplex(a.n)
 	rhs := make([]complex128, a.n)
@@ -35,7 +35,13 @@ func naiveSolveAt(a *Analyzer, f float64) ([]complex128, error) {
 			m.Add(n2, n1, -y)
 		}
 	}
-	for _, e := range a.ckt.Elements {
+	sourceValue := func(s *netlist.Source) complex128 {
+		if f == 0 {
+			return complex(s.DC, 0)
+		}
+		return cmplx.Rect(s.ACMag, s.ACPhase)
+	}
+	for _, e := range c.Elements {
 		n1, n2 := a.node(e.N1), a.node(e.N2)
 		switch e.Kind {
 		case netlist.R, netlist.SW:
@@ -57,10 +63,10 @@ func naiveSolveAt(a *Analyzer, f float64) ([]complex128, error) {
 			if e.Kind == netlist.L {
 				m.Add(b, b, complex(0, -omega*e.Value))
 			} else {
-				rhs[b] = sourceValue(e.Src, f)
+				rhs[b] = sourceValue(e.Src)
 			}
 		case netlist.I:
-			v := sourceValue(e.Src, f)
+			v := sourceValue(e.Src)
 			if n1 >= 0 {
 				rhs[n1] -= v
 			}
@@ -69,9 +75,13 @@ func naiveSolveAt(a *Analyzer, f float64) ([]complex128, error) {
 			}
 		}
 	}
-	for _, cp := range a.couplings {
-		bi, bj := nn+cp.bi, nn+cp.bj
-		y := complex(0, -omega*cp.m)
+	for _, e := range c.Elements {
+		if e.Kind != netlist.K {
+			continue
+		}
+		bi, bj := nn+a.branchIdx[e.LA], nn+a.branchIdx[e.LB]
+		mut := e.Coup * math.Sqrt(c.Find(e.LA).Value*c.Find(e.LB).Value)
+		y := complex(0, -omega*mut)
 		m.Add(bi, bj, y)
 		m.Add(bj, bi, y)
 	}
@@ -132,13 +142,13 @@ func TestCompiledPlansMatchNaiveAssembly(t *testing.T) {
 	freqs := []float64{0, 50, 1e3, 150e3, 30e6, 108e6}
 	for trial := 0; trial < 60; trial++ {
 		c := randomCircuit(rng)
-		a, err := NewAnalyzer(c)
+		a, err := NewAnalyzer(c, linalg.ModeAuto)
 		if err != nil {
 			t.Fatalf("trial %d: NewAnalyzer: %v\n%s", trial, err, c)
 		}
 		for _, f := range freqs {
-			want, naiveErr := naiveSolveAt(a, f)
-			sol, err := a.Solve(f)
+			want, naiveErr := naiveSolveAt(a, c, f)
+			sol, err := solve(a, f)
 			if naiveErr != nil {
 				// A legitimately singular point (e.g. parallel inductor
 				// shorts at DC): both paths must agree it is singular.
@@ -176,16 +186,16 @@ func TestCompiledPlansBitwiseIdentical(t *testing.T) {
 	c.AddL("L2", "b", "out", 10e-6)
 	c.AddR("R2", "out", "0", 50)
 	c.AddK("K1", "L1", "L2", 0.3)
-	a, err := NewAnalyzer(c)
+	a, err := NewAnalyzer(c, linalg.ModeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []float64{150e3, 1e6, 30e6} {
-		want, err := naiveSolveAt(a, f)
+		want, err := naiveSolveAt(a, c, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sol, err := a.Solve(f)
+		sol, err := solve(a, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,15 +227,15 @@ func TestProbeCouplingMatchesRebuild(t *testing.T) {
 	const k = 0.07
 	check := func(name string, a *Analyzer, ref *netlist.Circuit) {
 		t.Helper()
-		ra, err := NewAnalyzer(ref)
+		ra, err := NewAnalyzer(ref, linalg.ModeAuto)
 		if err != nil {
 			t.Fatalf("%s: rebuild: %v", name, err)
 		}
-		want, err := ra.Solve(f)
+		want, err := solve(ra, f)
 		if err != nil {
 			t.Fatalf("%s: rebuild solve: %v", name, err)
 		}
-		got, err := a.Solve(f)
+		got, err := solve(a, f)
 		if err != nil {
 			t.Fatalf("%s: probe solve: %v", name, err)
 		}
@@ -236,7 +246,7 @@ func TestProbeCouplingMatchesRebuild(t *testing.T) {
 		}
 	}
 
-	a, err := NewAnalyzer(build())
+	a, err := NewAnalyzer(build(), linalg.ModeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +275,9 @@ func TestProbeCouplingMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesSerialSolves checks the pooled sweep against one-by-one
-// solves: identical values in identical slots, any parallelism.
+// TestSweepMatchesSerialSolves checks a sweep through one recycled
+// workspace against independent solves in fresh workspaces: identical
+// values in identical slots, so reuse carries no state between solves.
 func TestSweepMatchesSerialSolves(t *testing.T) {
 	t.Parallel()
 	c := &netlist.Circuit{}
@@ -274,7 +285,7 @@ func TestSweepMatchesSerialSolves(t *testing.T) {
 	c.AddR("R1", "in", "out", 100)
 	c.AddC("C1", "out", "0", 10e-9)
 	c.AddL("L1", "out", "0", 1e-3)
-	a, err := NewAnalyzer(c)
+	a, err := NewAnalyzer(c, linalg.ModeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,12 +293,12 @@ func TestSweepMatchesSerialSolves(t *testing.T) {
 	for i := range freqs {
 		freqs[i] = 1e3 * math.Pow(1.2, float64(i))
 	}
-	got, err := a.SweepNode(freqs, "out")
+	got, err := sweepNode(a, freqs, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, f := range freqs {
-		sol, err := a.Solve(f)
+		sol, err := solve(a, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,11 +317,11 @@ func TestSingularPropagatesFrequency(t *testing.T) {
 	c.AddV("V1", "n", "0", netlist.Source{ACMag: 1})
 	c.AddV("V2", "n", "0", netlist.Source{ACMag: 2})
 	c.AddR("R1", "n", "0", 10)
-	a, err := NewAnalyzer(c)
+	a, err := NewAnalyzer(c, linalg.ModeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = a.Solve(1000)
+	_, err = solve(a, 1000)
 	if err == nil {
 		t.Fatal("conflicting sources should be singular")
 	}
@@ -319,5 +330,80 @@ func TestSingularPropagatesFrequency(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "f=1000") {
 		t.Errorf("error %q lacks the frequency context", err)
+	}
+}
+
+// TestBindMatchesRecompile checks value binding against its reference:
+// solving with perturbed values bound into a workspace must reproduce,
+// bit for bit, an analyzer compiled from a perturbed copy of the circuit,
+// under both backends. Each side reuses one workspace across the
+// frequencies (a sparse workspace replays its first pivot order, so the
+// histories must match), and unbinding must bring the nominal values back.
+func TestBindMatchesRecompile(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(7))
+	freqs := []float64{0, 1e3, 150e3, 30e6}
+	for trial := 0; trial < 40; trial++ {
+		c := randomCircuit(rng)
+		ref := c.Clone()
+		mult := make([]float64, len(c.Elements))
+		for i, e := range ref.Elements {
+			mult[i] = 0.8 + 0.4*rng.Float64()
+			switch e.Kind {
+			case netlist.R, netlist.L, netlist.C:
+				e.Value *= mult[i]
+			case netlist.K:
+				e.Coup = math.Min(e.Coup*mult[i], 1)
+			}
+		}
+		for _, mode := range []linalg.SolverMode{linalg.ModeDense, linalg.ModeSparse} {
+			a, err := NewAnalyzer(c, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ra, err := NewAnalyzer(ref, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals := a.Values()
+			for i, e := range c.Elements {
+				switch e.Kind {
+				case netlist.R, netlist.L, netlist.C:
+					vals[i] *= mult[i]
+				case netlist.K:
+					vals[i] = math.Min(vals[i]*mult[i], 1)
+				}
+			}
+			var w, rw Workspace
+			a.Bind(&w, vals)
+			for _, f := range freqs {
+				want, werr := ra.Solve(&rw, f, ra.Excitation(f))
+				got, err := a.Solve(&w, f, a.Excitation(f))
+				if (werr == nil) != (err == nil) {
+					t.Fatalf("trial %d %v f=%g: recompiled err %v, bound err %v", trial, mode, f, werr, err)
+				}
+				if err != nil {
+					continue
+				}
+				for i := range want.x {
+					if got.x[i] != want.x[i] {
+						t.Fatalf("trial %d %v f=%g: unknown %d: bound %v recompiled %v",
+							trial, mode, f, i, got.x[i], want.x[i])
+					}
+				}
+			}
+			a.Bind(&w, nil)
+			const f = 1e6
+			want, werr := solve(a, f)
+			got, err := a.Solve(&w, f, a.Excitation(f))
+			if werr != nil || err != nil {
+				continue
+			}
+			for i := range want.x {
+				if cmplx.Abs(got.x[i]-want.x[i]) > 1e-9*(1+cmplx.Abs(want.x[i])) {
+					t.Fatalf("trial %d %v: unbound workspace kept perturbed values", trial, mode)
+				}
+			}
+		}
 	}
 }

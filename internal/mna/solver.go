@@ -16,7 +16,6 @@
 package mna
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/linalg"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 )
 
 // Gmin is the conductance added from every node to ground to keep
@@ -39,35 +37,49 @@ type planEntry struct {
 	v   float64
 }
 
+// valueRef ties one plan entry to the element value it is stamped from,
+// so a new value vector re-binds the entry without recompiling the plan.
+// la and lb are the coupled inductors' element indices of a K element.
+type valueRef struct {
+	pos, elem, la, lb int
+	neg               bool
+}
+
 // srcSlot is one precompiled right-hand-side contribution of an
-// independent source. The slot keeps a pointer to the element's Source so
-// per-harmonic phasor updates (emi drives ACMag/ACPhase per harmonic) are
-// picked up without recompiling.
+// independent source: src indexes the per-solve source phasors.
 type srcSlot struct {
 	row      int
 	negative bool
-	src      *netlist.Source
+	src      int
 }
 
-// Analyzer prepares a circuit for repeated AC solves. The compiled stamp
-// plans are immutable during solves; the solve scratch (assembly buffer,
-// factorization, solution) is reused call to call, so an Analyzer is not
-// safe for concurrent use — SweepNodeCtx fans out internally with
-// per-worker scratch, and parallel callers construct one Analyzer per
-// worker.
+// Analyzer is the compiled, read-only description of one circuit for
+// repeated AC solves: node and branch indices, the G and B stamp plans,
+// the right-hand-side source slots and the factorization backend. After
+// NewAnalyzer it never touches the netlist again. Every solve runs in a
+// caller-owned Workspace and takes its source phasors as an argument, so
+// any number of goroutines may solve against one Analyzer, each with its
+// own Workspace. The one mutation is the sensitivity probe
+// (SetProbeCoupling), which is only legal on an Analyzer that a single
+// goroutine owns.
 type Analyzer struct {
-	ckt       *netlist.Circuit
-	nodeIdx   map[string]int
-	nodes     []string
-	branches  []*netlist.Element // elements with branch currents: L and V
-	branchIdx map[string]int
-	couplings []coupling
-	n         int // total unknowns = len(nodes) + len(branches)
+	nodeIdx    map[string]int
+	nn         int // node unknowns
+	branchIdx  map[string]int
+	branchElem []int // element index of each branch (L and V)
+	n          int   // total unknowns = nn + branches
 
-	gPlan    []planEntry
-	bPlan    []planEntry
-	rhsPlan  []srcSlot
-	baseBLen int // bPlan length without an appended probe coupling
+	kinds   []netlist.Kind
+	vals    []float64 // nominal element values, see Values
+	sources []string  // independent sources (V, I) in element order
+	dc, ac  []complex128
+
+	gPlan, bPlan []planEntry
+	gRefs, bRefs []valueRef
+	rhsPlan      []srcSlot
+	baseBLen     int // bPlan length without an appended probe coupling
+	couplingPos  int // bPlan index of the first K stamp
+	couplings    [][2]int
 
 	// Probe-coupling state (sensitivity analysis): either two overwritten
 	// coupling entries (restored on clear) or two appended cells
@@ -76,28 +88,27 @@ type Analyzer struct {
 	probeIdx   [2]int
 	probeSaved [2]float64
 
-	// Factorization-backend selection (see SetSolver) and the compiled
-	// sparse assembly plan: the CSC pattern of the stamp cells plus the
-	// value-slot index of every G/B plan entry. Built lazily by
-	// prepareSolver and shared read-only by every sweep worker; patGen
-	// invalidates worker-local matrices when a probe append changes the
-	// pattern.
-	mode    linalg.SolverMode
-	sparse  bool // prepareSolver's last decision, read by solve
-	pat     *linalg.Pattern
-	gSlot   []int32
-	bSlot   []int32
-	patBLen int // len(bPlan) the pattern was built for
-	patGen  int
-
-	scr solveScratch // serial-API scratch; SweepNodeCtx workers get their own
+	// The factorization backend, decided once by NewAnalyzer, and for the
+	// sparse backend the CSC pattern of the stamp cells plus the value slot
+	// of every G/B plan entry. A probe append rebuilds the pattern and
+	// bumps patGen, which tells workspaces to drop their matrices.
+	sparse bool
+	pat    *linalg.Pattern
+	gSlot  []int32
+	bSlot  []int32
+	patGen int
 }
 
-// solveScratch is the per-worker reusable state of the solve path: the
-// assembly buffer, the factorization scratch, the right-hand side and the
-// solution. Everything is lazily sized on first use and then recycled, so
-// the steady-state solve performs no allocations.
-type solveScratch struct {
+// Workspace is the caller-owned reusable state of the solve path: the
+// plans with values bound by Bind, the assembly buffer, the factorization
+// scratch, the right-hand side and the solution. Everything is sized on
+// first use and then recycled, so the steady-state solve performs no
+// allocations. A Workspace serves one Analyzer and one goroutine at a
+// time; the zero value is ready to use.
+type Workspace struct {
+	bound        bool
+	gPlan, bPlan []planEntry
+
 	m   *linalg.Complex
 	lu  linalg.ComplexLU
 	sm  *linalg.SparseComplex
@@ -107,103 +118,102 @@ type solveScratch struct {
 	sol Solution
 }
 
-// coupling is a resolved mutual inductance between two inductor branches.
-type coupling struct {
-	bi, bj int
-	m      float64
-}
-
-// NewAnalyzer validates and indexes the circuit, then compiles the stamp
-// plans.
-func NewAnalyzer(c *netlist.Circuit) (*Analyzer, error) {
+// NewAnalyzer validates and indexes the circuit, compiles the stamp plans
+// and decides the factorization backend. mode is the solver choice;
+// ModeAuto defers to the process-wide selection (the CLIs' -solver flag
+// via linalg.SetDefaultSolver) and from there to the size/density
+// heuristic.
+func NewAnalyzer(c *netlist.Circuit, mode linalg.SolverMode) (*Analyzer, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	a := &Analyzer{
-		ckt:       c,
 		nodeIdx:   map[string]int{},
 		branchIdx: map[string]int{},
+		kinds:     make([]netlist.Kind, len(c.Elements)),
+		vals:      make([]float64, len(c.Elements)),
 	}
-	a.nodes = c.Nodes()
-	for i, n := range a.nodes {
+	nodes := c.Nodes()
+	for i, n := range nodes {
 		a.nodeIdx[n] = i
 	}
-	for _, e := range c.Elements {
+	a.nn = len(nodes)
+	for i, e := range c.Elements {
+		a.kinds[i] = e.Kind
+		switch e.Kind {
+		case netlist.D:
+			a.vals[i] = e.Roff
+		case netlist.K:
+			a.vals[i] = e.Coup
+		default:
+			a.vals[i] = e.Value
+		}
 		if e.Kind == netlist.L || e.Kind == netlist.V {
-			a.branchIdx[e.Name] = len(a.branches)
-			a.branches = append(a.branches, e)
+			a.branchIdx[e.Name] = len(a.branchElem)
+			a.branchElem = append(a.branchElem, i)
+		}
+		if e.Kind == netlist.V || e.Kind == netlist.I {
+			a.sources = append(a.sources, e.Name)
+			a.dc = append(a.dc, complex(e.Src.DC, 0))
+			a.ac = append(a.ac, cmplx.Rect(e.Src.ACMag, e.Src.ACPhase))
 		}
 	}
-	for _, e := range c.Elements {
-		if e.Kind != netlist.K {
-			continue
-		}
-		la, lb := c.Find(e.LA), c.Find(e.LB)
-		m := e.Coup * math.Sqrt(la.Value*lb.Value)
-		a.couplings = append(a.couplings, coupling{
-			bi: a.branchIdx[e.LA],
-			bj: a.branchIdx[e.LB],
-			m:  m,
-		})
-	}
-	a.n = len(a.nodes) + len(a.branches)
-	a.compile()
+	a.n = a.nn + len(a.branchElem)
+	a.compile(c)
+	bindPlans(a.gPlan, a.gRefs, a.vals, a.kinds)
+	bindPlans(a.bPlan, a.bRefs, a.vals, a.kinds)
+	a.decideSolver(mode)
 	return a, nil
 }
 
 // compile walks the netlist once and records every stamp as a plan entry,
-// preserving the element-order accumulation of the direct walk.
-func (a *Analyzer) compile() {
-	nn := len(a.nodes)
+// preserving the element-order accumulation of the direct walk. Entries
+// stamped from an element value are left zero and recorded as valueRefs;
+// bindPlans fills them.
+func (a *Analyzer) compile(c *netlist.Circuit) {
+	nn := a.nn
+	elem := 0
 	addG := func(i, j int, v float64) {
 		a.gPlan = append(a.gPlan, planEntry{idx: i*a.n + j, v: v})
 	}
-	addB := func(i, j int, v float64) {
-		a.bPlan = append(a.bPlan, planEntry{idx: i*a.n + j, v: v})
+	refG := func(i, j int, neg bool) {
+		a.gRefs = append(a.gRefs, valueRef{pos: len(a.gPlan), elem: elem, neg: neg})
+		addG(i, j, 0)
 	}
-	stampG := func(n1, n2 int, g float64) {
+	refB := func(i, j int, ref valueRef) {
+		ref.pos = len(a.bPlan)
+		a.bRefs = append(a.bRefs, ref)
+		a.bPlan = append(a.bPlan, planEntry{idx: i*a.n + j})
+	}
+	stamp := func(n1, n2 int, ref func(i, j int, neg bool)) {
 		if n1 >= 0 {
-			addG(n1, n1, g)
+			ref(n1, n1, false)
 		}
 		if n2 >= 0 {
-			addG(n2, n2, g)
+			ref(n2, n2, false)
 		}
 		if n1 >= 0 && n2 >= 0 {
-			addG(n1, n2, -g)
-			addG(n2, n1, -g)
+			ref(n1, n2, true)
+			ref(n2, n1, true)
 		}
 	}
-	stampB := func(n1, n2 int, b float64) {
-		if n1 >= 0 {
-			addB(n1, n1, b)
-		}
-		if n2 >= 0 {
-			addB(n2, n2, b)
-		}
-		if n1 >= 0 && n2 >= 0 {
-			addB(n1, n2, -b)
-			addB(n2, n1, -b)
-		}
-	}
+	stampB := func(i, j int, neg bool) { refB(i, j, valueRef{elem: elem, neg: neg}) }
 
 	// Gmin to ground on every node.
 	for i := 0; i < nn; i++ {
 		addG(i, i, Gmin)
 	}
-	for _, e := range a.ckt.Elements {
+	for i, e := range c.Elements {
+		elem = i
 		n1, n2 := a.node(e.N1), a.node(e.N2)
 		switch e.Kind {
-		case netlist.R:
-			stampG(n1, n2, 1/e.Value)
-		case netlist.SW:
-			// In AC analysis the switch is its on-resistance; the EMI flow
-			// replaces switching devices by equivalent noise sources.
-			stampG(n1, n2, 1/e.Value)
-		case netlist.D:
-			// Diodes are blocking in small-signal EMI analysis.
-			stampG(n1, n2, 1/e.Roff)
+		case netlist.R, netlist.SW, netlist.D:
+			// In AC analysis the switch is its on-resistance and the diode
+			// blocks (its off-resistance); the EMI flow replaces switching
+			// devices by equivalent noise sources.
+			stamp(n1, n2, refG)
 		case netlist.C:
-			stampB(n1, n2, e.Value)
+			stamp(n1, n2, stampB)
 		case netlist.L, netlist.V:
 			b := nn + a.branchIdx[e.Name]
 			// KCL: branch current leaves N1 and enters N2.
@@ -216,33 +226,115 @@ func (a *Analyzer) compile() {
 				addG(b, n2, -1)
 			}
 			if e.Kind == netlist.L {
-				addB(b, b, -e.Value)
+				stampB(b, b, false)
 			} else {
-				a.rhsPlan = append(a.rhsPlan, srcSlot{row: b, src: e.Src})
+				a.rhsPlan = append(a.rhsPlan, srcSlot{row: b, src: a.sourceIndex(e.Name)})
 			}
 		case netlist.I:
+			src := a.sourceIndex(e.Name)
 			if n1 >= 0 {
-				a.rhsPlan = append(a.rhsPlan, srcSlot{row: n1, negative: true, src: e.Src})
+				a.rhsPlan = append(a.rhsPlan, srcSlot{row: n1, negative: true, src: src})
 			}
 			if n2 >= 0 {
-				a.rhsPlan = append(a.rhsPlan, srcSlot{row: n2, src: e.Src})
+				a.rhsPlan = append(a.rhsPlan, srcSlot{row: n2, src: src})
 			}
-		case netlist.K:
-			// handled below via a.couplings
 		}
 	}
-	for _, cp := range a.couplings {
-		bi, bj := nn+cp.bi, nn+cp.bj
-		addB(bi, bj, -cp.m)
-		addB(bj, bi, -cp.m)
+	// Mutual couplings go last, two entries each, in K element order.
+	a.couplingPos = len(a.bPlan)
+	for i, e := range c.Elements {
+		if e.Kind != netlist.K {
+			continue
+		}
+		ia, ib := a.branchIdx[e.LA], a.branchIdx[e.LB]
+		a.couplings = append(a.couplings, [2]int{ia, ib})
+		ref := valueRef{elem: i, la: a.branchElem[ia], lb: a.branchElem[ib]}
+		refB(nn+ia, nn+ib, ref)
+		refB(nn+ib, nn+ia, ref)
 	}
 	a.baseBLen = len(a.bPlan)
 }
 
+// sourceIndex returns the position of a source in the phasor vector.
+func (a *Analyzer) sourceIndex(name string) int {
+	for i, s := range a.sources {
+		if s == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// stampValue is the plan value an element contributes before its sign:
+// 1/R for resistors, switches and diodes (a diode's value is its
+// off-resistance), C for capacitors, −L for inductors and −k·√(La·Lb) for
+// couplings — all from the value vector vals.
+func stampValue(r valueRef, vals []float64, kinds []netlist.Kind) float64 {
+	switch kinds[r.elem] {
+	case netlist.C:
+		return vals[r.elem]
+	case netlist.L:
+		return -vals[r.elem]
+	case netlist.K:
+		return -(vals[r.elem] * math.Sqrt(vals[r.la]*vals[r.lb]))
+	default:
+		return 1 / vals[r.elem]
+	}
+}
+
+// bindPlans writes the value of every referenced entry of plan from vals.
+func bindPlans(plan []planEntry, refs []valueRef, vals []float64, kinds []netlist.Kind) {
+	for _, r := range refs {
+		v := stampValue(r, vals, kinds)
+		if r.neg {
+			v = -v
+		}
+		plan[r.pos].v = v
+	}
+}
+
+// Values returns a copy of the nominal element-value vector, indexed like
+// the circuit's elements: the value of R, L, C and switch elements, the
+// off-resistance of diodes and the coupling factor of K elements (sources
+// read 0). Scale entries and pass the vector to Bind to solve a perturbed
+// build of the same circuit.
+func (a *Analyzer) Values() []float64 { return append([]float64(nil), a.vals...) }
+
+// Bind makes the workspace solve with the element values vals (see
+// Values) in place of the nominal ones, using the stamp expressions of
+// the compiled plans; nil restores the nominal values. A probe coupling is
+// not carried into bound values. Bind also drops the pivot order a sparse
+// workspace replays, so a bound build solves exactly as on an analyzer
+// freshly compiled from the perturbed circuit.
+func (a *Analyzer) Bind(w *Workspace, vals []float64) {
+	w.slu = linalg.SparseComplexLU{}
+	w.bound = vals != nil
+	if !w.bound {
+		return
+	}
+	w.gPlan = append(w.gPlan[:0], a.gPlan...)
+	w.bPlan = append(w.bPlan[:0], a.bPlan[:a.baseBLen]...)
+	bindPlans(w.gPlan, a.gRefs, vals, a.kinds)
+	bindPlans(w.bPlan, a.bRefs, vals, a.kinds)
+}
+
+// Sources returns the names of the independent sources in element order:
+// the order of the phasor vector every solve takes.
+func (a *Analyzer) Sources() []string { return append([]string(nil), a.sources...) }
+
+// Excitation returns the circuit's own source phasors at frequency f: the
+// DC values at f = 0 (inductors short, capacitors open), otherwise the AC
+// magnitudes and phases.
+func (a *Analyzer) Excitation(f float64) []complex128 {
+	if f == 0 {
+		return append([]complex128(nil), a.dc...)
+	}
+	return append([]complex128(nil), a.ac...)
+}
+
 // Solution holds one AC operating point. A Solution returned by Solve
-// shares the Analyzer's (or sweep worker's) solve buffer: it is valid
-// until the next Solve on the same Analyzer. Extract values before
-// solving again.
+// shares the workspace's solve buffer: it is valid until the next Solve in
+// the same Workspace. Extract values before solving again.
 type Solution struct {
 	Freq float64
 	a    *Analyzer
@@ -257,28 +349,17 @@ func (a *Analyzer) node(name string) int {
 	return a.nodeIdx[name]
 }
 
-// SetSolver overrides the factorization backend for this Analyzer.
-// The default, ModeAuto, defers to the process-wide selection (the CLIs'
-// -solver flag via linalg.SetDefaultSolver) and from there to the
-// size/density heuristic. Call before solving; the choice is re-evaluated
-// on the next Solve or sweep.
-func (a *Analyzer) SetSolver(m linalg.SolverMode) { a.mode = m }
-
-// SolverKind reports which backend the current configuration selects for
-// this system: "dense" or "sparse".
+// SolverKind reports which backend the analyzer uses: "dense" or "sparse".
 func (a *Analyzer) SolverKind() string {
-	if a.prepareSolver() {
+	if a.sparse {
 		return "sparse"
 	}
 	return "dense"
 }
 
-// prepareSolver decides dense vs sparse for the current mode and system
-// and, when sparse, makes sure the CSC pattern and assembly slots exist.
-// It mutates the Analyzer, so sweeps call it once before fanning out;
-// workers then only read the decision and the immutable pattern.
-func (a *Analyzer) prepareSolver() bool {
-	mode := a.mode
+// decideSolver picks dense vs sparse for the mode and system and, when
+// sparse, compiles the CSC pattern and assembly slots.
+func (a *Analyzer) decideSolver(mode linalg.SolverMode) {
 	if mode == linalg.ModeAuto {
 		mode = linalg.DefaultSolver()
 	}
@@ -287,7 +368,7 @@ func (a *Analyzer) prepareSolver() bool {
 	// toward the dense path.
 	a.sparse = linalg.ChooseSparse(mode, a.n, len(a.gPlan)+len(a.bPlan))
 	if a.sparse {
-		a.ensureSparsePlan()
+		a.compilePattern()
 		// Fill-aware refinement: auto falls back to dense when the
 		// pattern's projected elimination fill makes sparse the slower
 		// backend (dense K-coupling meshes); a forced ModeSparse stands.
@@ -295,17 +376,11 @@ func (a *Analyzer) prepareSolver() bool {
 			a.sparse = false
 		}
 	}
-	return a.sparse
 }
 
-// ensureSparsePlan compiles the stamp plans' cell indices into a shared
-// CSC pattern plus per-entry value slots. A probe append (SetProbeCoupling
-// mode 2) changes the B plan's cells, so the pattern is keyed on the plan
-// length and rebuilt — and patGen bumped — when it no longer matches.
-func (a *Analyzer) ensureSparsePlan() {
-	if a.pat != nil && a.patBLen == len(a.bPlan) {
-		return
-	}
+// compilePattern compiles the stamp plans' cell indices into a shared CSC
+// pattern plus per-entry value slots, and bumps patGen.
+func (a *Analyzer) compilePattern() {
 	flat := make([]int, 0, len(a.gPlan)+len(a.bPlan))
 	for _, e := range a.gPlan {
 		flat = append(flat, e.idx)
@@ -317,31 +392,30 @@ func (a *Analyzer) ensureSparsePlan() {
 	a.pat = pat
 	a.gSlot = slots[:len(a.gPlan):len(a.gPlan)]
 	a.bSlot = slots[len(a.gPlan):]
-	a.patBLen = len(a.bPlan)
 	a.patGen++
 }
 
-// Solve performs one AC analysis at frequency f (Hz). At f = 0 the DC
-// values of the sources drive the circuit (inductors short, capacitors
-// open); otherwise the AC magnitudes and phases do. The returned Solution
-// reuses the Analyzer's buffers and is valid until the next Solve.
-func (a *Analyzer) Solve(f float64) (*Solution, error) {
-	a.prepareSolver()
-	return a.solve(&a.scr, f)
-}
-
-// solve runs one assembly/factor/resolve cycle against the given scratch.
-// The backend decision and (for sparse) the pattern must already be in
-// place via prepareSolver.
-func (a *Analyzer) solve(s *solveScratch, f float64) (*Solution, error) {
+// Solve performs one AC analysis at frequency f (Hz) in the workspace w.
+// src holds one phasor per independent source in Sources order (see
+// Excitation for the circuit's own); the element values are the nominal
+// ones or those bound to w by Bind. The returned Solution reuses w's
+// buffers and is valid until the next Solve in w.
+func (a *Analyzer) Solve(w *Workspace, f float64, src []complex128) (*Solution, error) {
 	if f < 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 		return nil, fmt.Errorf("mna: invalid frequency %g", f)
 	}
+	if len(src) != len(a.sources) {
+		return nil, fmt.Errorf("mna: %d source phasors for %d sources", len(src), len(a.sources))
+	}
 	engine.CountMNASolve()
 	omega := 2 * math.Pi * f
-	if s.rhs == nil {
-		s.rhs = make([]complex128, a.n)
-		s.sol = Solution{a: a, x: make([]complex128, a.n)}
+	if w.rhs == nil {
+		w.rhs = make([]complex128, a.n)
+		w.sol = Solution{a: a, x: make([]complex128, a.n)}
+	}
+	gPlan, bPlan := a.gPlan, a.bPlan
+	if w.bound {
+		gPlan, bPlan = w.gPlan, w.bPlan
 	}
 
 	// Fused assembly: M = G + jω·B in one pass over the compiled plans —
@@ -352,80 +426,77 @@ func (a *Analyzer) solve(s *solveScratch, f float64) (*Solution, error) {
 	var solver linalg.ComplexFactorizer
 	var ferr error
 	if a.sparse {
-		if s.sm == nil || s.gen != a.patGen {
-			s.sm = linalg.NewSparseComplex(a.pat)
-			s.gen = a.patGen
+		if w.sm == nil || w.gen != a.patGen {
+			w.sm = linalg.NewSparseComplex(a.pat)
+			w.gen = a.patGen
 		}
-		v := s.sm.V
+		v := w.sm.V
 		for i := range v {
 			v[i] = 0
 		}
-		for i, e := range a.gPlan {
+		for i, e := range gPlan {
 			v[a.gSlot[i]] += complex(e.v, 0)
 		}
-		for i, e := range a.bPlan {
+		for i, e := range bPlan {
 			v[a.bSlot[i]] += complex(0, omega*e.v)
 		}
-		ferr = s.sm.Factor(&s.slu)
-		solver = &s.slu
+		ferr = w.sm.Factor(&w.slu)
+		solver = &w.slu
 	} else {
-		if s.m == nil {
-			s.m = linalg.NewComplex(a.n)
+		if w.m == nil {
+			w.m = linalg.NewComplex(a.n)
 		}
-		buf := s.m.V
+		buf := w.m.V
 		for i := range buf {
 			buf[i] = 0
 		}
-		for _, e := range a.gPlan {
+		for _, e := range gPlan {
 			buf[e.idx] += complex(e.v, 0)
 		}
-		for _, e := range a.bPlan {
+		for _, e := range bPlan {
 			buf[e.idx] += complex(0, omega*e.v)
 		}
-		ferr = s.m.Factor(&s.lu)
-		solver = &s.lu
+		ferr = w.m.Factor(&w.lu)
+		solver = &w.lu
 	}
 	if ferr != nil {
 		return nil, fmt.Errorf("mna: f=%g Hz: %w", f, ferr)
 	}
-	for i := range s.rhs {
-		s.rhs[i] = 0
+	for i := range w.rhs {
+		w.rhs[i] = 0
 	}
 	for _, sl := range a.rhsPlan {
-		v := sourceValue(sl.src, f)
 		if sl.negative {
-			s.rhs[sl.row] -= v
+			w.rhs[sl.row] -= src[sl.src]
 		} else {
-			s.rhs[sl.row] += v
+			w.rhs[sl.row] += src[sl.src]
 		}
 	}
-	if err := solver.SolveFactored(s.rhs, s.sol.x); err != nil {
+	if err := solver.SolveFactored(w.rhs, w.sol.x); err != nil {
 		return nil, fmt.Errorf("mna: f=%g Hz: %w", f, err)
 	}
-	s.sol.Freq = f
-	return &s.sol, nil
+	w.sol.Freq = f
+	return &w.sol, nil
 }
 
 // SetProbeCoupling temporarily sets the mutual coupling between two
 // inductors to factor k, applied as a two-entry delta on the compiled B
 // plan — no circuit clone, no recompilation. An existing K coupling
 // between the pair is overridden for the duration; ClearProbeCoupling
-// undoes the probe. Any previous probe is cleared first.
+// undoes the probe. Any previous probe is cleared first. The probe
+// mutates the Analyzer: no other goroutine may solve against it meanwhile.
 func (a *Analyzer) SetProbeCoupling(la, lb string, k float64) error {
 	a.ClearProbeCoupling()
-	ea, eb := a.ckt.Find(la), a.ckt.Find(lb)
-	if ea == nil || ea.Kind != netlist.L || eb == nil || eb.Kind != netlist.L {
+	ia, okA := a.branchIdx[la]
+	ib, okB := a.branchIdx[lb]
+	if !okA || !okB || a.kinds[a.branchElem[ia]] != netlist.L || a.kinds[a.branchElem[ib]] != netlist.L {
 		return fmt.Errorf("mna: probe coupling %s/%s: both must be inductors", la, lb)
 	}
-	ia, ib := a.branchIdx[la], a.branchIdx[lb]
-	m := k * math.Sqrt(ea.Value*eb.Value)
-	// The coupling stamps live at the tail of the base B plan, two entries
-	// per coupling in coupling order.
-	couplingStart := a.baseBLen - 2*len(a.couplings)
+	m := k * math.Sqrt(a.vals[a.branchElem[ia]]*a.vals[a.branchElem[ib]])
 	for ci, cp := range a.couplings {
-		if (cp.bi == ia && cp.bj == ib) || (cp.bi == ib && cp.bj == ia) {
+		if (cp[0] == ia && cp[1] == ib) || (cp[0] == ib && cp[1] == ia) {
 			a.probeMode = 1
-			a.probeIdx = [2]int{couplingStart + 2*ci, couplingStart + 2*ci + 1}
+			a.probeIdx = [2]int{a.couplingPos + 2*ci, a.couplingPos + 2*ci + 1}
 			for pi, ei := range a.probeIdx {
 				a.probeSaved[pi] = a.bPlan[ei].v
 				a.bPlan[ei].v = -m
@@ -433,13 +504,15 @@ func (a *Analyzer) SetProbeCoupling(la, lb string, k float64) error {
 			return nil
 		}
 	}
-	nn := len(a.nodes)
-	bi, bj := nn+ia, nn+ib
+	bi, bj := a.nn+ia, a.nn+ib
 	a.probeMode = 2
 	a.bPlan = append(a.bPlan,
 		planEntry{idx: bi*a.n + bj, v: -m},
 		planEntry{idx: bj*a.n + bi, v: -m},
 	)
+	if a.sparse {
+		a.compilePattern()
+	}
 	return nil
 }
 
@@ -453,16 +526,11 @@ func (a *Analyzer) ClearProbeCoupling() {
 		}
 	case 2:
 		a.bPlan = a.bPlan[:a.baseBLen]
+		if a.sparse {
+			a.compilePattern()
+		}
 	}
 	a.probeMode = 0
-}
-
-// sourceValue returns the complex excitation of a source at frequency f.
-func sourceValue(s *netlist.Source, f float64) complex128 {
-	if f == 0 {
-		return complex(s.DC, 0)
-	}
-	return cmplx.Rect(s.ACMag, s.ACPhase)
 }
 
 // NodeVoltage returns the complex voltage of the named node (ground is 0).
@@ -484,49 +552,5 @@ func (s *Solution) BranchCurrent(name string) complex128 {
 	if !ok {
 		return cmplx.NaN()
 	}
-	return s.x[len(s.a.nodes)+b]
-}
-
-// SweepNode solves the circuit at each frequency and returns the complex
-// voltage at the named node.
-func (a *Analyzer) SweepNode(freqs []float64, node string) ([]complex128, error) {
-	return a.SweepNodeCtx(context.Background(), freqs, node)
-}
-
-// SweepNodeCtx is the batched sweep: frequencies fan out over the shared
-// engine pool, each worker solving with its own scratch against the one
-// compiled plan set. Slot-per-index writes keep the result identical to
-// the serial sweep under any parallelism. The compiled plans (including
-// any active probe coupling) must not be mutated while the sweep runs.
-func (a *Analyzer) SweepNodeCtx(ctx context.Context, freqs []float64, node string) ([]complex128, error) {
-	a.prepareSolver() // backend decision + shared pattern, before the fan-out
-	ctx, sp := obs.Start(ctx, "mna.sweep")
-	sp.Int("freqs", int64(len(freqs)))
-	var f0, r0 uint64
-	if sp != nil {
-		_, f0, r0 = engine.LUCounts()
-	}
-	defer func() {
-		if sp != nil {
-			_, f1, r1 := engine.LUCounts()
-			sp.Int("lu_factorizations", int64(f1-f0))
-			sp.Int("lu_resolves", int64(r1-r0))
-		}
-		sp.End()
-	}()
-	out := make([]complex128, len(freqs))
-	err := engine.ForEachStateCtx(ctx, len(freqs),
-		func() (*solveScratch, error) { return &solveScratch{}, nil },
-		func(s *solveScratch, i int) error {
-			sol, err := a.solve(s, freqs[i])
-			if err != nil {
-				return err
-			}
-			out[i] = sol.NodeVoltage(node)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.x[s.a.nn+b]
 }

@@ -34,35 +34,38 @@ func ladderCircuit(stages int) *netlist.Circuit {
 }
 
 func TestSolverSelection(t *testing.T) {
-	small, err := NewAnalyzer(ladderCircuit(4))
-	if err != nil {
-		t.Fatal(err)
+	kind := func(c *netlist.Circuit, mode linalg.SolverMode) string {
+		t.Helper()
+		a, err := NewAnalyzer(c, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.SolverKind()
 	}
 	// 4 stages → ~13 unknowns: far below the auto crossover.
-	if got := small.SolverKind(); got != "dense" {
+	small := ladderCircuit(4)
+	if got := kind(small, linalg.ModeAuto); got != "dense" {
 		t.Errorf("small system auto-selected %q, want dense", got)
 	}
-	small.SetSolver(linalg.ModeSparse)
-	if got := small.SolverKind(); got != "sparse" {
+	if got := kind(small, linalg.ModeSparse); got != "sparse" {
 		t.Errorf("forced sparse reported %q", got)
 	}
-	small.SetSolver(linalg.ModeDense)
-	if got := small.SolverKind(); got != "dense" {
+	if got := kind(small, linalg.ModeDense); got != "dense" {
 		t.Errorf("forced dense reported %q", got)
 	}
 
-	big, err := NewAnalyzer(ladderCircuit(80)) // ~240 unknowns, very sparse
+	big := ladderCircuit(80) // ~240 unknowns, very sparse
+	a, err := NewAnalyzer(big, linalg.ModeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.n < linalg.SparseAutoMinN {
-		t.Fatalf("fixture too small for the auto crossover: n=%d", big.n)
+	if a.n < linalg.SparseAutoMinN {
+		t.Fatalf("fixture too small for the auto crossover: n=%d", a.n)
 	}
-	if got := big.SolverKind(); got != "sparse" {
+	if got := a.SolverKind(); got != "sparse" {
 		t.Errorf("large sparse system auto-selected %q, want sparse", got)
 	}
-	big.SetSolver(linalg.ModeDense)
-	if got := big.SolverKind(); got != "dense" {
+	if got := kind(big, linalg.ModeDense); got != "dense" {
 		t.Errorf("forced dense on large system reported %q", got)
 	}
 }
@@ -70,16 +73,19 @@ func TestSolverSelection(t *testing.T) {
 func TestProcessDefaultSolverHonored(t *testing.T) {
 	prev := linalg.SetDefaultSolver(linalg.ModeSparse)
 	defer linalg.SetDefaultSolver(prev)
-	a, err := NewAnalyzer(ladderCircuit(3))
+	a, err := NewAnalyzer(ladderCircuit(3), linalg.ModeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := a.SolverKind(); got != "sparse" {
 		t.Errorf("process-wide sparse default ignored: got %q", got)
 	}
-	a.SetSolver(linalg.ModeDense) // per-analyzer override beats the global
+	a, err = NewAnalyzer(ladderCircuit(3), linalg.ModeDense) // per-analyzer mode beats the global
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := a.SolverKind(); got != "dense" {
-		t.Errorf("per-analyzer dense override ignored: got %q", got)
+		t.Errorf("per-analyzer dense mode ignored: got %q", got)
 	}
 }
 
@@ -87,21 +93,19 @@ func TestProcessDefaultSolverHonored(t *testing.T) {
 // analyzers of the same circuit and returns both results.
 func sweepBoth(t *testing.T, c *netlist.Circuit, freqs []float64, node string) (xd, xs []complex128) {
 	t.Helper()
-	ad, err := NewAnalyzer(c)
+	ad, err := NewAnalyzer(c, linalg.ModeDense)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad.SetSolver(linalg.ModeDense)
-	as, err := NewAnalyzer(c)
+	as, err := NewAnalyzer(c, linalg.ModeSparse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	as.SetSolver(linalg.ModeSparse)
-	xd, err = ad.SweepNode(freqs, node)
+	xd, err = sweepNode(ad, freqs, node)
 	if err != nil {
 		t.Fatalf("dense sweep: %v", err)
 	}
-	xs, err = as.SweepNode(freqs, node)
+	xs, err = sweepNode(as, freqs, node)
 	if err != nil {
 		t.Fatalf("sparse sweep: %v", err)
 	}
@@ -129,20 +133,18 @@ func TestSparseSweepMatchesDense(t *testing.T) {
 
 func TestSparseProbeCouplingMatchesDense(t *testing.T) {
 	c := ladderCircuit(30)
-	ad, _ := NewAnalyzer(c)
-	ad.SetSolver(linalg.ModeDense)
-	as, _ := NewAnalyzer(c)
-	as.SetSolver(linalg.ModeSparse)
+	ad, _ := NewAnalyzer(c, linalg.ModeDense)
+	as, _ := NewAnalyzer(c, linalg.ModeSparse)
 
 	check := func(stage string) {
 		t.Helper()
 		const f = 5e5
-		sd, err := ad.Solve(f)
+		sd, err := solve(ad, f)
 		if err != nil {
 			t.Fatalf("%s dense: %v", stage, err)
 		}
 		vd := sd.NodeVoltage("n15")
-		ss, err := as.Solve(f)
+		ss, err := solve(as, f)
 		if err != nil {
 			t.Fatalf("%s sparse: %v", stage, err)
 		}
@@ -188,12 +190,11 @@ func TestSparseSingularParityWithContext(t *testing.T) {
 	c.AddV("V2", "a", "0", netlist.Source{ACMag: 2})
 	c.AddR("R1", "a", "0", 10)
 	for _, mode := range []linalg.SolverMode{linalg.ModeDense, linalg.ModeSparse} {
-		a, err := NewAnalyzer(c)
+		a, err := NewAnalyzer(c, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a.SetSolver(mode)
-		_, err = a.Solve(1e6)
+		_, err = solve(a, 1e6)
 		if !errors.Is(err, linalg.ErrSingular) {
 			t.Fatalf("%v: want ErrSingular, got %v", mode, err)
 		}
@@ -240,7 +241,7 @@ func kMeshCircuit(stages, cols int) *netlist.Circuit {
 }
 
 func TestSolverFillFallback(t *testing.T) {
-	a, err := NewAnalyzer(kMeshCircuit(357, 19))
+	a, err := NewAnalyzer(kMeshCircuit(357, 19), linalg.ModeAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,18 +254,19 @@ func TestSolverFillFallback(t *testing.T) {
 	if got := a.SolverKind(); got != "dense" {
 		t.Errorf("fill-heavy K-mesh auto-selected %q, want dense", got)
 	}
-	a.SetSolver(linalg.ModeSparse)
-	if got := a.SolverKind(); got != "sparse" {
-		t.Errorf("forced sparse reported %q", got)
-	}
-	// The forced-sparse path must still produce the dense answer.
-	a.SetSolver(linalg.ModeDense)
-	vd, err := a.Solve(1e6)
+	as, err := NewAnalyzer(kMeshCircuit(357, 19), linalg.ModeSparse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetSolver(linalg.ModeSparse)
-	vs, err := a.Solve(1e6)
+	if got := as.SolverKind(); got != "sparse" {
+		t.Errorf("forced sparse reported %q", got)
+	}
+	// The forced-sparse path must still produce the dense answer.
+	vd, err := solve(a, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := solve(as, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,30 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"repro/internal/linalg"
 	"repro/internal/netlist"
 )
+
+// solve runs one solve driven by the circuit's own sources in a fresh
+// workspace.
+func solve(a *Analyzer, f float64) (*Solution, error) {
+	return a.Solve(&Workspace{}, f, a.Excitation(f))
+}
+
+// sweepNode solves at each frequency in one recycled workspace and returns
+// the complex voltage at the named node.
+func sweepNode(a *Analyzer, freqs []float64, node string) ([]complex128, error) {
+	var w Workspace
+	out := make([]complex128, len(freqs))
+	for i, f := range freqs {
+		sol, err := a.Solve(&w, f, a.Excitation(f))
+		if err != nil {
+			return nil, err
+		}
+		out[i] = sol.NodeVoltage(node)
+	}
+	return out, nil
+}
 
 func relErr(a, b float64) float64 {
 	if b == 0 {
@@ -17,11 +39,11 @@ func relErr(a, b float64) float64 {
 
 func solveAt(t *testing.T, c *netlist.Circuit, f float64) *Solution {
 	t.Helper()
-	a, err := NewAnalyzer(c)
+	a, err := NewAnalyzer(c, linalg.ModeAuto)
 	if err != nil {
 		t.Fatalf("NewAnalyzer: %v", err)
 	}
-	sol, err := a.Solve(f)
+	sol, err := solve(a, f)
 	if err != nil {
 		t.Fatalf("Solve(%g): %v", f, err)
 	}
@@ -223,11 +245,11 @@ func TestSingularCircuitError(t *testing.T) {
 	c := &netlist.Circuit{}
 	c.AddV("V1", "n", "0", netlist.Source{ACMag: 1})
 	c.AddV("V2", "n", "0", netlist.Source{ACMag: 2})
-	a, err := NewAnalyzer(c)
+	a, err := NewAnalyzer(c, linalg.ModeAuto)
 	if err != nil {
 		t.Fatalf("NewAnalyzer: %v", err)
 	}
-	if _, err := a.Solve(1e3); err == nil {
+	if _, err := solve(a, 1e3); err == nil {
 		t.Error("parallel conflicting V sources should be singular")
 	}
 }
@@ -237,9 +259,9 @@ func TestInvalidFrequency(t *testing.T) {
 	c := &netlist.Circuit{}
 	c.AddV("V1", "n", "0", netlist.Source{ACMag: 1})
 	c.AddR("R1", "n", "0", 1)
-	a, _ := NewAnalyzer(c)
+	a, _ := NewAnalyzer(c, linalg.ModeAuto)
 	for _, f := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if _, err := a.Solve(f); err == nil {
+		if _, err := solve(a, f); err == nil {
 			t.Errorf("Solve(%v) should fail", f)
 		}
 	}
@@ -268,9 +290,9 @@ func TestSweepNode(t *testing.T) {
 	c.AddV("V1", "in", "0", netlist.Source{ACMag: 1})
 	c.AddR("R1", "in", "out", 1000)
 	c.AddC("C1", "out", "0", 100e-9)
-	a, _ := NewAnalyzer(c)
+	a, _ := NewAnalyzer(c, linalg.ModeAuto)
 	freqs := []float64{100, 1e3, 1e4, 1e5}
-	vs, err := a.SweepNode(freqs, "out")
+	vs, err := sweepNode(a, freqs, "out")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/emi"
 	"repro/internal/engine"
+	"repro/internal/linalg"
+	"repro/internal/mna"
 	"repro/internal/netlist"
 	"repro/internal/obs"
 )
@@ -33,15 +35,11 @@ type Options struct {
 	Candidates []string // inductors to consider; nil = all in the circuit
 }
 
-// Rank inserts ProbeK between every candidate inductor pair (one pair at a
-// time), predicts the spectrum, and ranks pairs by the worst-case emission
-// increase relative to the uncoupled baseline.
-func Rank(ckt *netlist.Circuit, sourceName, measureNode string, opt Options) (Ranking, error) {
-	return RankCtx(context.Background(), ckt, sourceName, measureNode, opt)
-}
-
-// RankCtx is Rank with cancellation: once ctx is done no further pair
-// predictions start and the context's error is returned.
+// RankCtx inserts ProbeK between every candidate inductor pair (one pair
+// at a time), predicts the spectrum, and ranks pairs by the worst-case
+// emission increase relative to the uncoupled baseline. The circuit is not
+// modified. Once ctx is done no further pair predictions start and the
+// context's error is returned.
 func RankCtx(ctx context.Context, ckt *netlist.Circuit, sourceName, measureNode string, opt Options) (Ranking, error) {
 	probe := opt.ProbeK
 	if probe == 0 {
@@ -72,10 +70,10 @@ func RankCtx(ctx context.Context, ckt *netlist.Circuit, sourceName, measureNode 
 	}
 
 	// One full band prediction per pair — the hot path of the analysis.
-	// Each worker compiles one BandSolver (circuit clone + stamp plans)
-	// and re-predicts per pair by applying the probe as a two-entry delta
-	// on the compiled B plan: no per-pair circuit clone, no analyzer
-	// rebuild. The pairs are independent and share the read-only
+	// Each worker compiles its own Band from the shared circuit (the probe
+	// mutates the analyzer) and re-predicts per pair by applying the probe
+	// as a two-entry delta on the compiled B plan: no circuit clone, no
+	// per-pair analyzer rebuild. The pairs are independent and share the read-only
 	// baseline, so they fan out over the engine pool; each pair writes
 	// only its own slot and the stable sort below keeps ties in pair
 	// order, making the ranking identical under any parallelism.
@@ -91,17 +89,23 @@ func RankCtx(ctx context.Context, ckt *netlist.Circuit, sourceName, measureNode 
 	sp.Int("candidates", int64(len(cands)))
 	defer sp.End()
 	rank := make(Ranking, len(pairs))
+	type worker struct {
+		band *emi.Band
+		w    mna.Workspace
+	}
 	err = engine.ForEachStateCtx(ctx, len(pairs),
-		func() (*emi.BandSolver, error) {
-			return emi.NewBandSolver(ckt, []string{sourceName}, measureNode, 0, opt.MaxFreq)
+		func() (*worker, error) {
+			band, err := emi.NewBand(ckt, []string{sourceName}, measureNode, 0, opt.MaxFreq, linalg.ModeAuto)
+			return &worker{band: band}, err
 		},
-		func(bs *emi.BandSolver, i int) error {
+		func(wk *worker, i int) error {
 			la, lb := pairs[i][0], pairs[i][1]
-			if err := bs.Analyzer().SetProbeCoupling(la, lb, probe); err != nil {
+			an := wk.band.Analyzer()
+			if err := an.SetProbeCoupling(la, lb, probe); err != nil {
 				return fmt.Errorf("sensitivity: pair %s/%s: %w", la, lb, err)
 			}
-			s, err := bs.SpectrumCtx(ctx)
-			bs.Analyzer().ClearProbeCoupling()
+			s, err := wk.band.SpectrumCtx(ctx, &wk.w)
+			an.ClearProbeCoupling()
 			if err != nil {
 				return fmt.Errorf("sensitivity: pair %s/%s: %w", la, lb, err)
 			}

@@ -1,6 +1,7 @@
 package sensitivity
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/emi"
@@ -30,7 +31,7 @@ func filterCircuit() *netlist.Circuit {
 func TestRankFindsCriticalPair(t *testing.T) {
 	t.Parallel()
 	ckt := filterCircuit()
-	rank, err := Rank(ckt, "Vsw", "lisn_meas", Options{
+	rank, err := RankCtx(context.Background(), ckt, "Vsw", "lisn_meas", Options{
 		ProbeK:     0.01,
 		MaxFreq:    50e6,
 		Candidates: []string{"Lc1", "Lc2", "Lloop"},
@@ -75,7 +76,7 @@ func TestRankDoesNotMutateCircuit(t *testing.T) {
 	t.Parallel()
 	ckt := filterCircuit()
 	before := len(ckt.Elements)
-	_, err := Rank(ckt, "Vsw", "lisn_meas", Options{
+	_, err := RankCtx(context.Background(), ckt, "Vsw", "lisn_meas", Options{
 		MaxFreq:    20e6,
 		Candidates: []string{"Lc1", "Lc2"},
 	})
@@ -115,13 +116,13 @@ func TestRelevantThreshold(t *testing.T) {
 func TestRankErrors(t *testing.T) {
 	t.Parallel()
 	ckt := filterCircuit()
-	if _, err := Rank(ckt, "Vsw", "lisn_meas", Options{Candidates: []string{"Lc1"}}); err == nil {
+	if _, err := RankCtx(context.Background(), ckt, "Vsw", "lisn_meas", Options{Candidates: []string{"Lc1"}}); err == nil {
 		t.Error("single candidate should fail")
 	}
-	if _, err := Rank(ckt, "Vsw", "lisn_meas", Options{Candidates: []string{"Lc1", "nope"}}); err == nil {
+	if _, err := RankCtx(context.Background(), ckt, "Vsw", "lisn_meas", Options{Candidates: []string{"Lc1", "nope"}}); err == nil {
 		t.Error("unknown candidate should fail")
 	}
-	if _, err := Rank(ckt, "nope", "lisn_meas", Options{Candidates: []string{"Lc1", "Lc2"}}); err == nil {
+	if _, err := RankCtx(context.Background(), ckt, "nope", "lisn_meas", Options{Candidates: []string{"Lc1", "Lc2"}}); err == nil {
 		t.Error("unknown source should fail")
 	}
 }
