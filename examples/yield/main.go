@@ -8,11 +8,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/buck"
 	"repro/internal/core"
+	"repro/internal/explore"
 )
 
 func main() {
@@ -32,26 +34,26 @@ func main() {
 		log.Fatal(err)
 	}
 
-	mc := core.ToleranceOptions{
-		N:           80,
+	mc := explore.YieldOptions{
+		Samples:     80,
 		Seed:        2008,
-		RLCTol:      0.10, // ±10 % component values
+		DefaultTol:  0.10, // ±10 % component values
 		CouplingTol: 0.20, // ±20 % extracted coupling factors
 		MaxFreq:     30e6,
 	}
 	fmt.Printf("Monte-Carlo: %d samples, ±%.0f%% RLC, ±%.0f%% coupling\n\n",
-		mc.N, mc.RLCTol*100, mc.CouplingTol*100)
+		mc.Samples, mc.DefaultTol*100, mc.CouplingTol*100)
 
 	for _, v := range []struct {
 		name string
 		p    *core.Project
 	}{{"unfavourable placement", unfav}, {"optimized placement", opt}} {
-		y, err := v.p.ToleranceYield(mc)
+		y, err := explore.Yield(context.Background(), v.p, mc, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-24s yield %5.1f%%   worst margin p10 %+6.1f dB, median %+6.1f dB, p90 %+6.1f dB\n",
-			v.name, y.Yield()*100,
+			v.name, y.Yield*100,
 			y.Percentile(0.1), y.Percentile(0.5), y.Percentile(0.9))
 	}
 	fmt.Println("\nThe placement decides the pass statistics before a single component")

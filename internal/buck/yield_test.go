@@ -1,9 +1,10 @@
 package buck
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/explore"
 )
 
 // TestToleranceYield turns the paper's "statement on achievable
@@ -29,27 +30,28 @@ func TestToleranceYield(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mc := core.ToleranceOptions{N: 60, Seed: 2008, MaxFreq: 30e6}
-	yUnfav, err := unfav.ToleranceYield(mc)
+	ctx := context.Background()
+	mc := explore.YieldOptions{Samples: 60, Seed: 2008, MaxFreq: 30e6}
+	yUnfav, err := explore.Yield(ctx, unfav, mc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	yOpt, err := opt.ToleranceYield(mc)
+	yOpt, err := explore.Yield(ctx, opt, mc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if yUnfav.Yield() > 0.05 {
-		t.Errorf("unfavourable layout yield = %.0f%%, expected ≈ 0", yUnfav.Yield()*100)
+	if yUnfav.Yield > 0.05 {
+		t.Errorf("unfavourable layout yield = %.0f%%, expected ≈ 0", yUnfav.Yield*100)
 	}
-	if yOpt.Yield() < 0.7 {
-		t.Errorf("optimised layout yield = %.0f%%, expected solid", yOpt.Yield()*100)
+	if yOpt.Yield < 0.7 {
+		t.Errorf("optimised layout yield = %.0f%%, expected solid", yOpt.Yield*100)
 	}
 	// Margins are sorted and the quantiles are ordered.
 	if yOpt.Percentile(0.1) > yOpt.Percentile(0.9) {
 		t.Error("percentiles out of order")
 	}
 	// Deterministic for a seed.
-	y2, err := opt.ToleranceYield(mc)
+	y2, err := explore.Yield(ctx, opt, mc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

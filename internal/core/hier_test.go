@@ -68,16 +68,3 @@ func TestExtractCouplingsHierCancellation(t *testing.T) {
 		t.Fatal("cancelled extraction should fail")
 	}
 }
-
-// TestToleranceYieldCtxCancellation: the Monte-Carlo yield analysis no
-// longer bypasses cancellation through its internal extraction call.
-func TestToleranceYieldCtxCancellation(t *testing.T) {
-	t.Parallel()
-	p := testProject()
-	placeBoth(p, 0.025, 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.ToleranceYieldCtx(ctx, ToleranceOptions{N: 2, MaxFreq: 1e6}); err == nil {
-		t.Fatal("cancelled yield analysis should fail")
-	}
-}

@@ -111,9 +111,10 @@ func NewBand(ckt *netlist.Circuit, sources []string, measure string, harmonics i
 	b.an = an
 	// Each switching source drives its harmonic's RMS phasor; every other
 	// source keeps its own AC excitation.
+	names := an.Sources()
 	slot := make([]int, len(sources))
 	for i, name := range sources {
-		slot[i] = slices.Index(an.Sources(), name)
+		slot[i] = slices.Index(names, name)
 	}
 	b.src = make([][]complex128, len(b.ks))
 	for i, k := range b.ks {

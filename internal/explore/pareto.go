@@ -6,11 +6,11 @@
 // EMI yield curves — the fraction of builds passing the limit mask per
 // frequency bin — with confidence intervals.
 //
-// The solver stack underneath (compiled MNA stamp plans, LU reuse,
-// per-candidate BandSolver compilation) is what makes treating a whole
-// design space as one workload affordable; candidates fan out over the
-// shared engine pool while every per-candidate evaluation stays serial
-// and deterministic.
+// The solver stack underneath (compiled MNA stamp plans, LU reuse, one
+// compiled emi.Band per candidate and per yield run) is what makes
+// treating a whole design space as one workload affordable; candidates
+// fan out over the shared engine pool while every per-candidate
+// evaluation stays serial and deterministic.
 package explore
 
 import (

@@ -13,6 +13,9 @@
 // with no map lookups and no allocation. The plan entries are emitted in
 // the exact order the old netlist walk stamped them, which keeps the
 // floating-point sums (and therefore every figure) bit-for-bit identical.
+// Source phasors are an input of every solve and element values can be
+// re-bound per workspace, so one compiled Analyzer serves every harmonic,
+// worker and Monte Carlo build of a design.
 package mna
 
 import (
@@ -172,7 +175,7 @@ func NewAnalyzer(c *netlist.Circuit, mode linalg.SolverMode) (*Analyzer, error) 
 // bindPlans fills them.
 func (a *Analyzer) compile(c *netlist.Circuit) {
 	nn := a.nn
-	elem := 0
+	elem, src := 0, 0 // current element; next source's phasor index
 	addG := func(i, j int, v float64) {
 		a.gPlan = append(a.gPlan, planEntry{idx: i*a.n + j, v: v})
 	}
@@ -180,11 +183,12 @@ func (a *Analyzer) compile(c *netlist.Circuit) {
 		a.gRefs = append(a.gRefs, valueRef{pos: len(a.gPlan), elem: elem, neg: neg})
 		addG(i, j, 0)
 	}
-	refB := func(i, j int, ref valueRef) {
+	addBRef := func(i, j int, ref valueRef) {
 		ref.pos = len(a.bPlan)
 		a.bRefs = append(a.bRefs, ref)
 		a.bPlan = append(a.bPlan, planEntry{idx: i*a.n + j})
 	}
+	refB := func(i, j int, neg bool) { addBRef(i, j, valueRef{elem: elem, neg: neg}) }
 	stamp := func(n1, n2 int, ref func(i, j int, neg bool)) {
 		if n1 >= 0 {
 			ref(n1, n1, false)
@@ -197,7 +201,6 @@ func (a *Analyzer) compile(c *netlist.Circuit) {
 			ref(n2, n1, true)
 		}
 	}
-	stampB := func(i, j int, neg bool) { refB(i, j, valueRef{elem: elem, neg: neg}) }
 
 	// Gmin to ground on every node.
 	for i := 0; i < nn; i++ {
@@ -213,7 +216,7 @@ func (a *Analyzer) compile(c *netlist.Circuit) {
 			// devices by equivalent noise sources.
 			stamp(n1, n2, refG)
 		case netlist.C:
-			stamp(n1, n2, stampB)
+			stamp(n1, n2, refB)
 		case netlist.L, netlist.V:
 			b := nn + a.branchIdx[e.Name]
 			// KCL: branch current leaves N1 and enters N2.
@@ -226,18 +229,19 @@ func (a *Analyzer) compile(c *netlist.Circuit) {
 				addG(b, n2, -1)
 			}
 			if e.Kind == netlist.L {
-				stampB(b, b, false)
+				refB(b, b, false)
 			} else {
-				a.rhsPlan = append(a.rhsPlan, srcSlot{row: b, src: a.sourceIndex(e.Name)})
+				a.rhsPlan = append(a.rhsPlan, srcSlot{row: b, src: src})
+				src++
 			}
 		case netlist.I:
-			src := a.sourceIndex(e.Name)
 			if n1 >= 0 {
 				a.rhsPlan = append(a.rhsPlan, srcSlot{row: n1, negative: true, src: src})
 			}
 			if n2 >= 0 {
 				a.rhsPlan = append(a.rhsPlan, srcSlot{row: n2, src: src})
 			}
+			src++
 		}
 	}
 	// Mutual couplings go last, two entries each, in K element order.
@@ -249,20 +253,10 @@ func (a *Analyzer) compile(c *netlist.Circuit) {
 		ia, ib := a.branchIdx[e.LA], a.branchIdx[e.LB]
 		a.couplings = append(a.couplings, [2]int{ia, ib})
 		ref := valueRef{elem: i, la: a.branchElem[ia], lb: a.branchElem[ib]}
-		refB(nn+ia, nn+ib, ref)
-		refB(nn+ib, nn+ia, ref)
+		addBRef(nn+ia, nn+ib, ref)
+		addBRef(nn+ib, nn+ia, ref)
 	}
 	a.baseBLen = len(a.bPlan)
-}
-
-// sourceIndex returns the position of a source in the phasor vector.
-func (a *Analyzer) sourceIndex(name string) int {
-	for i, s := range a.sources {
-		if s == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // stampValue is the plan value an element contributes before its sign:

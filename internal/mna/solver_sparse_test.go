@@ -276,3 +276,51 @@ func TestSolverFillFallback(t *testing.T) {
 		}
 	}
 }
+
+// TestBindDropsSparseHistory: a sparse workspace replays the pivot order
+// of the first matrix it factored, so Bind must start the bound build
+// afresh. After nominal solves in the same workspace, the bound build must
+// equal bit for bit an analyzer compiled from the perturbed circuit — on a
+// K-mesh, where a replayed order changes the last bits.
+func TestBindDropsSparseHistory(t *testing.T) {
+	t.Parallel()
+	c := kMeshCircuit(40, 8)
+	ref := c.Clone()
+	a, err := NewAnalyzer(c, linalg.ModeSparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := a.Values()
+	for i, e := range ref.Elements {
+		if e.Kind == netlist.C || e.Kind == netlist.L {
+			e.Value *= 1.37
+			vals[i] *= 1.37
+		}
+	}
+	ra, err := NewAnalyzer(ref, linalg.ModeSparse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w, rw Workspace
+	for _, f := range []float64{0, 1e5, 30e6} {
+		if _, err := a.Solve(&w, f, a.Excitation(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Bind(&w, vals)
+	for _, f := range []float64{150e3, 1e6, 30e6} {
+		want, err := ra.Solve(&rw, f, ra.Excitation(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.Solve(&w, f, a.Excitation(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.x {
+			if got.x[i] != want.x[i] {
+				t.Fatalf("f=%g: unknown %d: bound %v recompiled %v", f, i, got.x[i], want.x[i])
+			}
+		}
+	}
+}
