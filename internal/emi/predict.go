@@ -181,8 +181,10 @@ func (b *Band) SpectrumCtx(ctx context.Context, w *mna.Workspace) (*Spectrum, er
 // SpectrumCtx runs the prediction without modifying the circuit: one
 // compiled Band whose harmonics fan out over the engine pool, one
 // workspace per worker. Each harmonic writes only its own slot, so the
-// spectrum is identical under any parallelism. Once ctx is done no
-// further harmonic solves start and the context's error is returned.
+// dense spectrum is identical under any parallelism (a sparse workspace
+// replays the pivot order of its first harmonic, so there the last bits
+// depend on the schedule). Once ctx is done no further harmonic solves
+// start and the context's error is returned.
 func (p *Predictor) SpectrumCtx(ctx context.Context) (*Spectrum, error) {
 	band, err := NewBand(p.Circuit, p.Sources, p.MeasureNode, p.Harmonics, p.MaxFreq, p.Solver)
 	if err != nil {
